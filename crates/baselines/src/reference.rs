@@ -8,7 +8,6 @@
 
 /// Hardware substrate of a published result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Substrate {
     /// Photonic accelerator.
     Photonic,
@@ -24,7 +23,6 @@ pub enum Substrate {
 
 /// How a published result reports solution quality.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum QualityNote {
     /// Time to reach the ground state with 90 % probability.
     T90,
@@ -38,7 +36,6 @@ pub enum QualityNote {
 
 /// One published (architecture, graph) data point.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ReferencePoint {
     /// Architecture name as used in the paper's tables.
     pub architecture: &'static str,

@@ -16,7 +16,6 @@ use crate::instrument::BaselineEvents;
 
 /// Configuration for a parallel-tempering run.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PtConfig {
     /// Number of temperature replicas.
     pub replicas: usize,

@@ -35,7 +35,6 @@ fn base(fidelity: Fidelity) -> SophieConfig {
         phi: 0.05,
         alpha: 0.0,
         stochastic_spin_update: true,
-        ..SophieConfig::default()
     }
 }
 

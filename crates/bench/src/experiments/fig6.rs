@@ -35,7 +35,6 @@ pub fn run(inst: &mut Instances, fidelity: Fidelity, report: &Report) -> std::io
                     phi,
                     alpha,
                     stochastic_spin_update: true,
-                    ..SophieConfig::default()
                 };
                 let solver = inst.solver(name, &config);
                 let outs = batch_reports(solver, &graph, fidelity.runs(), None);

@@ -32,7 +32,6 @@ pub fn run(inst: &mut Instances, fidelity: Fidelity, report: &Report) -> std::io
                 phi: 0.05,
                 alpha: 0.0,
                 stochastic_spin_update: true,
-                ..SophieConfig::default()
             };
             let solver = inst.solver(name, &config);
             let outs = batch_reports(solver, &graph, fidelity.runs(), None);

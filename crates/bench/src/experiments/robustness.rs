@@ -53,7 +53,6 @@ fn config(fidelity: Fidelity) -> SophieConfig {
         phi: 0.1,
         alpha: 0.0,
         stochastic_spin_update: true,
-        ..SophieConfig::default()
     }
 }
 

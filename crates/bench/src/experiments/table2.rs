@@ -35,7 +35,6 @@ fn measure(
         phi: if name == "K100" { 0.1 } else { 0.05 },
         alpha: 0.0,
         stochastic_spin_update: true,
-        ..SophieConfig::default()
     };
     let solver = inst.solver(name, &config);
     let runs = fidelity.convergence_runs();

@@ -96,7 +96,6 @@ pub fn write_trace(
         phi: 0.05,
         alpha: 0.0,
         stochastic_spin_update: true,
-        ..SophieConfig::default()
     };
     let solver = inst.solver(name, &config);
     // Stream into a temporary sibling, then rename: an interrupted or

@@ -80,10 +80,6 @@ pub fn kernel_tune_block(outcome: &TuneOutcome) -> Json {
                     "transposed".to_string(),
                     Json::Str(r.plan.transposed.name().to_string()),
                 ),
-                (
-                    "pair".to_string(),
-                    Json::Str(r.plan.pair.name().to_string()),
-                ),
             ])
         })
         .collect();
@@ -103,18 +99,11 @@ pub fn kernel_tune_block(outcome: &TuneOutcome) -> Json {
     Json::Obj(vec![
         (
             "schema".to_string(),
-            Json::Str("sophie-kernel-tune-v1".to_string()),
+            Json::Str("sophie-kernel-tune-v2".to_string()),
         ),
         ("host".to_string(), Json::Str(host_key())),
         ("plans".to_string(), Json::Arr(plans)),
         ("table_64".to_string(), Json::Arr(table_64)),
-        (
-            "pair_64".to_string(),
-            Json::Obj(vec![
-                ("sequential_ns".to_string(), round1(r64.pair_sequential_ns)),
-                ("fused_ns".to_string(), round1(r64.pair_fused_ns)),
-            ]),
-        ),
         (
             "scalar_forward_64_ns".to_string(),
             round1(outcome.scalar_forward_64_ns),
@@ -175,13 +164,7 @@ pub fn write_kernel_tune(path: &Path, outcome: &TuneOutcome) -> io::Result<()> {
 /// progress output).
 pub fn print_report(outcome: &TuneOutcome) {
     for r in &outcome.reports {
-        eprintln!(
-            "  tile {:>3}: plan {} (pair seq {:.1} ns, fused {:.1} ns)",
-            r.tile_size,
-            r.plan.describe(),
-            r.pair_sequential_ns,
-            r.pair_fused_ns
-        );
+        eprintln!("  tile {:>3}: plan {}", r.tile_size, r.plan.describe());
         for &(v, f_ns, t_ns) in &r.table {
             eprintln!(
                 "    {:<7} forward {f_ns:>10.1} ns  transposed {t_ns:>10.1} ns",
@@ -219,7 +202,6 @@ mod tests {
             "host",
             "plans",
             "table_64",
-            "pair_64",
             "scalar_forward_64_ns",
             "tuned_forward_64_ns",
             "forward_64_speedup",

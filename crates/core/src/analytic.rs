@@ -130,7 +130,6 @@ mod tests {
             phi: 0.2,
             alpha: 0.0,
             stochastic_spin_update: true,
-            ..SophieConfig::default()
         }
     }
 

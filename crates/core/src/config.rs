@@ -2,51 +2,6 @@
 
 use crate::error::{Result, SophieError};
 
-pub use sophie_linalg::KernelChoice;
-
-/// Compute strategy of the exact floating-point backend.
-///
-/// All three strategies produce **bit-identical** results and event
-/// streams — this knob trades wall-clock only. The sparse strategies run
-/// the engine on [`crate::sparse::SparseBackend`], which stores each tile
-/// in CSR form, caches the last input/output of every MVM unit, and
-/// recomputes only the outputs touched by changed inputs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub enum ComputeMode {
-    /// Always execute dense tile kernels ([`crate::backend::IdealBackend`]).
-    Dense,
-    /// Always take the incremental sparse path, regardless of activity.
-    Sparse,
-    /// Per-MVM choice: incremental sparse while the estimated touched work
-    /// stays below the density-crossover threshold, dense otherwise.
-    #[default]
-    Auto,
-}
-
-impl ComputeMode {
-    /// Canonical lowercase name (`"dense"`, `"sparse"`, `"auto"`).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            ComputeMode::Dense => "dense",
-            ComputeMode::Sparse => "sparse",
-            ComputeMode::Auto => "auto",
-        }
-    }
-
-    /// Parses a canonical name back into a mode.
-    #[must_use]
-    pub fn parse(name: &str) -> Option<Self> {
-        match name {
-            "dense" => Some(ComputeMode::Dense),
-            "sparse" => Some(ComputeMode::Sparse),
-            "auto" => Some(ComputeMode::Auto),
-            _ => None,
-        }
-    }
-}
-
 /// Parameters of SOPHIE's modified PRIS algorithm (paper Algorithm 1 and
 /// the evaluation settings of §IV).
 ///
@@ -54,7 +9,6 @@ impl ComputeMode {
 /// 64, 10 local iterations per global iteration, 500 global iterations,
 /// all tiles selected, stochastic spin update enabled.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SophieConfig {
     /// Edge length of a square matrix tile (one OPCM array holds one
     /// symmetric tile pair of this size).
@@ -75,32 +29,6 @@ pub struct SophieConfig {
     /// `true` → stochastic spin update (one column copy broadcast);
     /// `false` → majority vote over all fresh copies in the column.
     pub stochastic_spin_update: bool,
-    /// Compute strategy of the floating-point backend (result-invariant;
-    /// trades wall-clock only).
-    pub compute: ComputeMode,
-    /// Density-crossover threshold θ for [`ComputeMode::Auto`]: an MVM takes
-    /// the incremental sparse path while the estimated touched CSR work is
-    /// below `θ × tile_size²` scalar multiply-accumulates, dense otherwise.
-    /// `None` → calibrated automatically from a one-time kernel timing probe.
-    pub sparse_crossover: Option<f64>,
-    /// Device command-queue depth: the engine flushes the queue whenever
-    /// at least this many commands are pending (always at chain
-    /// boundaries, never mid-pair). `None` batches a whole round per
-    /// flush. **Result-invariant by construction** — outcomes, event
-    /// streams, op counts, and command timelines are byte-identical at
-    /// every depth; the knob trades submission batching against device
-    /// buffer residency only.
-    #[cfg_attr(feature = "serde", serde(default))]
-    pub queue_depth: Option<usize>,
-    /// Tile-MVM kernel selection for the floating-point backends:
-    /// `auto` (startup-autotuned per tile size and host) or a pinned
-    /// variant name (`scalar`, `axpy`, `b8u4`, ...). **Result-invariant
-    /// by construction** — every variant accumulates in the same
-    /// canonical order, so outcomes and event streams are byte-identical
-    /// under any choice; the knob trades wall-clock only. The
-    /// `SOPHIE_KERNEL` environment variable overrides this at run time.
-    #[cfg_attr(feature = "serde", serde(default))]
-    pub kernel: KernelChoice,
 }
 
 impl Default for SophieConfig {
@@ -113,10 +41,6 @@ impl Default for SophieConfig {
             phi: 0.1,
             alpha: 0.0,
             stochastic_spin_update: true,
-            compute: ComputeMode::Auto,
-            sparse_crossover: None,
-            queue_depth: None,
-            kernel: KernelChoice::Auto,
         }
     }
 }
@@ -156,20 +80,6 @@ impl SophieConfig {
             return Err(SophieError::BadConfig {
                 field: "alpha",
                 message: format!("must be in [0, 1], got {}", self.alpha),
-            });
-        }
-        if let Some(theta) = self.sparse_crossover {
-            if !(theta.is_finite() && theta > 0.0) {
-                return Err(SophieError::BadConfig {
-                    field: "sparse_crossover",
-                    message: format!("must be finite and positive, got {theta}"),
-                });
-            }
-        }
-        if self.queue_depth == Some(0) {
-            return Err(SophieError::BadConfig {
-                field: "queue_depth",
-                message: "must be positive (or None for whole-round batching)".into(),
             });
         }
         Ok(())
@@ -245,83 +155,6 @@ mod tests {
             ..SophieConfig::default()
         };
         assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn default_compute_is_auto_with_calibrated_crossover() {
-        let c = SophieConfig::default();
-        assert_eq!(c.compute, ComputeMode::Auto);
-        assert!(c.sparse_crossover.is_none());
-    }
-
-    #[test]
-    fn rejects_bad_sparse_crossover() {
-        for theta in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            let c = SophieConfig {
-                sparse_crossover: Some(theta),
-                ..SophieConfig::default()
-            };
-            assert!(
-                matches!(
-                    c.validate(),
-                    Err(SophieError::BadConfig {
-                        field: "sparse_crossover",
-                        ..
-                    })
-                ),
-                "crossover {theta} should be rejected"
-            );
-        }
-        let c = SophieConfig {
-            sparse_crossover: Some(0.25),
-            ..SophieConfig::default()
-        };
-        assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn rejects_zero_queue_depth() {
-        let c = SophieConfig {
-            queue_depth: Some(0),
-            ..SophieConfig::default()
-        };
-        assert!(matches!(
-            c.validate(),
-            Err(SophieError::BadConfig {
-                field: "queue_depth",
-                ..
-            })
-        ));
-        let c = SophieConfig {
-            queue_depth: Some(32),
-            ..SophieConfig::default()
-        };
-        assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn compute_mode_names_round_trip() {
-        for mode in [ComputeMode::Dense, ComputeMode::Sparse, ComputeMode::Auto] {
-            assert_eq!(ComputeMode::parse(mode.name()), Some(mode));
-        }
-        assert_eq!(ComputeMode::parse("fancy"), None);
-    }
-
-    #[test]
-    fn kernel_choice_names_round_trip_and_default_is_auto() {
-        use sophie_linalg::KernelVariant;
-        assert_eq!(SophieConfig::default().kernel, KernelChoice::Auto);
-        assert_eq!(KernelChoice::parse("auto"), Some(KernelChoice::Auto));
-        for v in KernelVariant::ALL {
-            let c = KernelChoice::Pinned(v);
-            assert_eq!(KernelChoice::parse(c.name()), Some(c));
-        }
-        assert_eq!(KernelChoice::parse("fancy"), None);
-        let c = SophieConfig {
-            kernel: KernelChoice::Pinned(KernelVariant::B8U4),
-            ..SophieConfig::default()
-        };
-        assert!(c.validate().is_ok());
     }
 
     #[test]

@@ -65,8 +65,8 @@ use sophie_solve::{
     SolveReport, Tee, TraceRecorder,
 };
 
-use crate::backend::{IdealBackend, MvmBackend};
-use crate::config::{ComputeMode, SophieConfig};
+use crate::backend::MvmBackend;
+use crate::config::SophieConfig;
 use crate::error::{Result, SophieError};
 use crate::health::HealthConfig;
 use crate::outcome::SophieOutcome;
@@ -220,30 +220,18 @@ impl SophieSolver {
         lo * b - lo * (lo + 1) / 2 + lo + (hi - lo)
     }
 
-    /// Runs one job on the exact floating-point substrate, dispatching on
-    /// the configured [`ComputeMode`]: the dense [`IdealBackend`] or the
-    /// delta-driven [`SparseBackend`]. The two are bit-identical in every
-    /// output (see [`crate::sparse`]); the mode trades wall-clock only.
+    /// Runs one job on the exact floating-point substrate: the
+    /// delta-driven [`SparseBackend`] with its calibrated dense/sparse
+    /// crossover, which is bit-identical in every output to the dense
+    /// [`IdealBackend`](crate::backend::IdealBackend) (see
+    /// [`crate::sparse`]).
     ///
     /// # Errors
     ///
     /// Currently infallible after construction; kept fallible for parity
     /// with backend-specific runs.
     pub fn run(&self, graph: &Graph, seed: u64, target_cut: Option<f64>) -> Result<SophieOutcome> {
-        match self.config.compute {
-            ComputeMode::Dense => self.run_with_backend(
-                &IdealBackend::from_config(&self.config),
-                graph,
-                seed,
-                target_cut,
-            ),
-            ComputeMode::Sparse | ComputeMode::Auto => self.run_with_backend(
-                &SparseBackend::from_config(&self.config),
-                graph,
-                seed,
-                target_cut,
-            ),
-        }
+        self.run_with_backend(&SparseBackend::auto(), graph, seed, target_cut)
     }
 
     /// Like [`Self::run`], but streaming [`SolveEvent`]s to `observer`.
@@ -258,22 +246,7 @@ impl SophieSolver {
         target_cut: Option<f64>,
         observer: &mut dyn SolveObserver,
     ) -> Result<SophieOutcome> {
-        match self.config.compute {
-            ComputeMode::Dense => self.run_with_backend_observed(
-                &IdealBackend::from_config(&self.config),
-                graph,
-                seed,
-                target_cut,
-                observer,
-            ),
-            ComputeMode::Sparse | ComputeMode::Auto => self.run_with_backend_observed(
-                &SparseBackend::from_config(&self.config),
-                graph,
-                seed,
-                target_cut,
-                observer,
-            ),
-        }
+        self.run_with_backend_observed(&SparseBackend::auto(), graph, seed, target_cut, observer)
     }
 
     /// Runs one job on an arbitrary MVM backend, generating the static
@@ -480,8 +453,8 @@ impl SophieSolver {
     /// [`Self::run_with_backend_observed`] (or, with `health` set, to
     /// [`Self::run_fault_aware`]) for the same (graph, seed, target).
     ///
-    /// This is the backend-generic core of the `Solver` impls: the ideal
-    /// impl on this type fixes the backend to [`IdealBackend`], and the
+    /// This is the backend-generic core of the `Solver` impls: the impl on
+    /// this type fixes the backend to [`SparseBackend::auto`], and the
     /// OPCM adapter in `sophie-hw` supplies its device model.
     ///
     /// # Errors
@@ -505,8 +478,8 @@ impl SophieSolver {
     /// [`OpCounts`] in the report. The sum of all device-record costs
     /// plus all host-record costs reproduces the report's op totals
     /// exactly, and the device stream's `(round, wave, unit)` keys are
-    /// byte-identical for every `SOPHIE_THREADS` and `queue_depth`
-    /// setting. Outcomes and events are unaffected by the sink.
+    /// byte-identical for every `SOPHIE_THREADS` setting. Outcomes and
+    /// events are unaffected by the sink.
     ///
     /// # Errors
     ///
@@ -621,10 +594,6 @@ impl SophieSolver {
         let mut reuse_gen = 0_u32;
 
         let local_iters = self.config.local_iters;
-        // Queue-depth knob: flush whenever this many commands are pending,
-        // always at chain boundaries (never mid-pair), so results are
-        // invariant in the depth. `None` batches whole rounds.
-        let queue_depth = self.config.queue_depth.unwrap_or(usize::MAX).max(1);
         let mut active: Vec<usize> = Vec::with_capacity(self.pairs.len());
         let mut rounds_done = 0usize;
         for (g, sched_round) in schedule.rounds().iter().enumerate() {
@@ -637,7 +606,8 @@ impl SophieSolver {
             rounds_done = round_index;
 
             // Stage 2: submit the selected pairs' local-iteration chains
-            // (minus any the health monitor quarantined).
+            // (minus any the health monitor quarantined); the whole round
+            // goes to the device in one flush.
             active.clear();
             active.extend(
                 sched_round
@@ -653,9 +623,6 @@ impl SophieSolver {
             ms.queue.begin_round(round_index as u64);
             let mut art = dispatch::RoundArtifacts::default();
             for &pi in &active {
-                if ms.queue.pending() >= queue_depth {
-                    dispatch::flush_all(self, &mut ms, seed, probe_seed, timeline, &mut art);
-                }
                 let state::MachineState { states, queue, .. } = &mut ms;
                 round::submit_pair(queue, &states[pi], local_iters);
             }
@@ -749,7 +716,8 @@ impl SophieSolver {
 /// Deliberately **strategy- and thread-independent**: derived solely from
 /// the synchronized global state and the static pattern of `C`, never from
 /// which kernel the backend actually executed — so event streams stay
-/// byte-identical across [`ComputeMode`]s and `SOPHIE_THREADS` settings.
+/// byte-identical across backends, crossovers and `SOPHIE_THREADS`
+/// settings.
 fn tally_reuse(
     adjacency: &SparseCsr,
     prev: &[bool],

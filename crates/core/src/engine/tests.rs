@@ -17,7 +17,6 @@ fn small_config(tile: usize, giters: usize) -> SophieConfig {
         phi: 0.25,
         alpha: 0.0,
         stochastic_spin_update: true,
-        ..SophieConfig::default()
     }
 }
 
@@ -200,43 +199,50 @@ fn initial_samples(solver: &SophieSolver) -> u64 {
 }
 
 #[test]
-fn compute_modes_are_bit_identical() {
-    use crate::config::ComputeMode;
+fn compute_paths_are_bit_identical() {
+    use crate::backend::MvmBackend;
+    use crate::sparse::SparseBackend;
     use sophie_solve::EventLog;
 
-    let g = gnm(60, 240, WeightDist::Unit, 4).unwrap();
-    let mut reference: Option<(crate::SophieOutcome, EventLog)> = None;
-    for (compute, crossover) in [
-        (ComputeMode::Dense, None),
-        (ComputeMode::Sparse, None),
-        (ComputeMode::Auto, Some(0.25)),
-        (ComputeMode::Auto, Some(1e-9)), // effectively always dense
-    ] {
-        let cfg = SophieConfig {
-            compute,
-            sparse_crossover: crossover,
-            ..small_config(16, 12)
-        };
-        let solver = SophieSolver::from_graph(&g, cfg).unwrap();
+    fn observed<B: MvmBackend>(
+        solver: &SophieSolver,
+        g: &sophie_graph::Graph,
+        backend: &B,
+    ) -> (crate::SophieOutcome, EventLog) {
         let mut log = EventLog::new();
-        let out = solver.run_observed(&g, 9, None, &mut log).unwrap();
-        match &reference {
-            None => reference = Some((out, log)),
-            Some((ref_out, ref_log)) => {
-                assert_eq!(
-                    ref_out.best_cut, out.best_cut,
-                    "cut diverged for {compute:?}"
-                );
-                assert_eq!(ref_out.best_bits, out.best_bits);
-                assert_eq!(ref_out.cut_trace, out.cut_trace);
-                assert_eq!(ref_out.ops, out.ops);
-                assert_eq!(
-                    ref_log.events(),
-                    log.events(),
-                    "event stream diverged for {compute:?}"
-                );
-            }
-        }
+        let out = solver
+            .run_with_backend_observed(backend, g, 9, None, &mut log)
+            .unwrap();
+        (out, log)
+    }
+
+    let g = gnm(60, 240, WeightDist::Unit, 4).unwrap();
+    let solver = SophieSolver::from_graph(&g, small_config(16, 12)).unwrap();
+    let (ref_out, ref_log) = observed(&solver, &g, &IdealBackend::new());
+    for (label, (out, log)) in [
+        (
+            "sparse",
+            observed(&solver, &g, &SparseBackend::always_sparse()),
+        ),
+        (
+            "auto 0.25",
+            observed(&solver, &g, &SparseBackend::with_crossover(0.25)),
+        ),
+        // Effectively always dense.
+        (
+            "auto 1e-9",
+            observed(&solver, &g, &SparseBackend::with_crossover(1e-9)),
+        ),
+    ] {
+        assert_eq!(ref_out.best_cut, out.best_cut, "cut diverged for {label}");
+        assert_eq!(ref_out.best_bits, out.best_bits);
+        assert_eq!(ref_out.cut_trace, out.cut_trace);
+        assert_eq!(ref_out.ops, out.ops);
+        assert_eq!(
+            ref_log.events(),
+            log.events(),
+            "event stream diverged for {label}"
+        );
     }
 }
 

@@ -56,7 +56,7 @@ mod solver;
 pub mod sparse;
 
 pub use batch::{run_batch, run_batch_ideal, BatchOutcome};
-pub use config::{ComputeMode, KernelChoice, SophieConfig};
+pub use config::SophieConfig;
 pub use engine::SophieSolver;
 pub use error::{Result, SophieError};
 pub use gaussian::GaussianSource;

@@ -13,7 +13,6 @@ use sophie_linalg::{TileGrid, TilePair};
 
 /// One global iteration's worth of scheduling decisions.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Round {
     /// Indices into the grid's symmetric-pair list, sorted ascending.
     pub pairs: Vec<usize>,

@@ -1,4 +1,5 @@
-//! [`Solver`] trait impls for the SOPHIE engine on the ideal backend.
+//! [`Solver`] trait impls for the SOPHIE engine on the exact
+//! floating-point substrate.
 //!
 //! Two shapes are provided:
 //!
@@ -12,16 +13,18 @@
 //!   the `SolverRegistry` constructs, where no graph is known at build
 //!   time.
 //!
-//! Both run on the exact floating-point [`IdealBackend`]; the OPCM device
-//! model variant lives in `sophie-hw` (same engine, different backend).
+//! Both run on [`SparseBackend::auto`], the delta-driven backend that is
+//! bit-identical to the dense [`IdealBackend`](crate::backend::IdealBackend)
+//! and picks dense or sparse per MVM from the calibrated crossover. The
+//! OPCM device model variant lives in `sophie-hw` (same engine, different
+//! backend).
 
 use std::sync::{Arc, Mutex, Weak};
 
 use sophie_graph::Graph;
 use sophie_solve::{Capabilities, SolveError, SolveJob, SolveObserver, SolveReport, Solver};
 
-use crate::backend::IdealBackend;
-use crate::config::{ComputeMode, SophieConfig};
+use crate::config::SophieConfig;
 use crate::engine::SophieSolver;
 use crate::sparse::SparseBackend;
 
@@ -43,23 +46,7 @@ impl Solver for SophieSolver {
         job: &SolveJob,
         observer: &mut dyn SolveObserver,
     ) -> Result<SolveReport, SolveError> {
-        // Dispatch on the configured compute mode; dense and sparse
-        // backends are bit-identical in every output (see `crate::sparse`),
-        // so this choice affects wall-clock only.
-        match self.config().compute {
-            ComputeMode::Dense => self.solve_job(
-                &IdealBackend::from_config(self.config()),
-                job,
-                None,
-                observer,
-            ),
-            ComputeMode::Sparse | ComputeMode::Auto => self.solve_job(
-                &SparseBackend::from_config(self.config()),
-                job,
-                None,
-                observer,
-            ),
-        }
+        self.solve_job(&SparseBackend::auto(), job, None, observer)
     }
 }
 

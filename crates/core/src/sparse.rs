@@ -25,10 +25,10 @@
 //! weight or zero input) are bitwise invisible to such a sum. An output
 //! element whose inputs are value-unchanged therefore has a bitwise
 //! unchanged value, so serving it from the cache is exact. The engine's
-//! cut trajectories and event streams are **bit-identical** across
-//! [`ComputeMode::Dense`], [`ComputeMode::Sparse`], and
-//! [`ComputeMode::Auto`] (inputs are finite in the engine; `NaN` inputs
-//! would force a recompute via `NaN != NaN` but are outside the contract).
+//! cut trajectories and event streams are **bit-identical** on the dense
+//! [`IdealBackend`] and on [`SparseBackend`] at every crossover threshold
+//! (inputs are finite in the engine; `NaN` inputs would force a recompute
+//! via `NaN != NaN` but are outside the contract).
 //!
 //! The crossover threshold affects *which kernel computes* a result, never
 //! the result itself, so θ (and the auto-calibration that picks it) is
@@ -37,10 +37,9 @@
 use std::sync::OnceLock;
 use std::time::Instant;
 
-use sophie_linalg::{KernelChoice, KernelPlan, SparseCsr, Tile};
+use sophie_linalg::{KernelPlan, SparseCsr, Tile};
 
 use crate::backend::{MvmBackend, MvmUnit};
-use crate::config::{ComputeMode, SophieConfig};
 
 #[cfg(doc)]
 use crate::backend::IdealBackend;
@@ -50,7 +49,6 @@ use crate::backend::IdealBackend;
 #[derive(Debug, Clone, Copy)]
 pub struct SparseBackend {
     crossover: f64,
-    kernel: KernelChoice,
 }
 
 impl SparseBackend {
@@ -61,7 +59,6 @@ impl SparseBackend {
     pub fn auto() -> Self {
         SparseBackend {
             crossover: calibrated_crossover(),
-            kernel: KernelChoice::Auto,
         }
     }
 
@@ -79,10 +76,7 @@ impl SparseBackend {
             theta > 0.0 && !theta.is_nan(),
             "crossover must be positive, got {theta}"
         );
-        SparseBackend {
-            crossover: theta,
-            kernel: KernelChoice::Auto,
-        }
+        SparseBackend { crossover: theta }
     }
 
     /// Backend that always takes the sparse path (θ = ∞), regardless of
@@ -91,26 +85,6 @@ impl SparseBackend {
     pub fn always_sparse() -> Self {
         SparseBackend {
             crossover: f64::INFINITY,
-            kernel: KernelChoice::Auto,
-        }
-    }
-
-    /// Backend matching a configuration's `compute` / `sparse_crossover`
-    /// knobs. [`ComputeMode::Sparse`] pins θ = ∞; otherwise an explicit
-    /// `sparse_crossover` wins over auto-calibration.
-    /// ([`ComputeMode::Dense`] is dispatched to the dense backend *before*
-    /// this is called; passing such a config here yields the same backend
-    /// as [`ComputeMode::Auto`].)
-    #[must_use]
-    pub fn from_config(config: &SophieConfig) -> Self {
-        let base = match (config.compute, config.sparse_crossover) {
-            (ComputeMode::Sparse, _) => Self::always_sparse(),
-            (_, Some(theta)) => Self::with_crossover(theta),
-            (_, None) => Self::auto(),
-        };
-        SparseBackend {
-            kernel: config.kernel,
-            ..base
         }
     }
 
@@ -125,11 +99,7 @@ impl MvmBackend for SparseBackend {
     type Unit = SparseUnit;
 
     fn unit(&self, tile_size: usize) -> SparseUnit {
-        SparseUnit::new(
-            tile_size,
-            self.crossover,
-            KernelPlan::for_choice(self.kernel, tile_size),
-        )
+        SparseUnit::new(tile_size, self.crossover, KernelPlan::for_size(tile_size))
     }
 }
 
@@ -574,25 +544,5 @@ mod tests {
         let a = calibrated_crossover();
         assert!((0.05..=1.0).contains(&a));
         assert_eq!(a.to_bits(), calibrated_crossover().to_bits());
-    }
-
-    #[test]
-    fn from_config_respects_mode_and_override() {
-        let sparse_mode = SophieConfig {
-            compute: ComputeMode::Sparse,
-            sparse_crossover: Some(0.2),
-            ..SophieConfig::default()
-        };
-        assert_eq!(
-            SparseBackend::from_config(&sparse_mode).crossover(),
-            f64::INFINITY
-        );
-        let auto_override = SophieConfig {
-            sparse_crossover: Some(0.2),
-            ..SophieConfig::default()
-        };
-        assert_eq!(SparseBackend::from_config(&auto_override).crossover(), 0.2);
-        let auto = SparseBackend::from_config(&SophieConfig::default());
-        assert!((0.05..=1.0).contains(&auto.crossover()));
     }
 }

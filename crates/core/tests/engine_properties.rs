@@ -23,7 +23,6 @@ fn config_strategy() -> impl Strategy<Value = SophieConfig> {
             phi,
             alpha: 0.0,
             stochastic_spin_update: stoch,
-            ..SophieConfig::default()
         })
 }
 

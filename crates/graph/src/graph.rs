@@ -4,7 +4,6 @@ use crate::error::{GraphError, Result};
 
 /// One weighted undirected edge. Endpoints are stored with `u < v`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Edge {
     /// Smaller endpoint.
     pub u: usize,
@@ -36,7 +35,6 @@ pub struct Edge {
 /// # }
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Graph {
     nodes: usize,
     edges: Vec<Edge>,

@@ -9,7 +9,6 @@ use crate::graph::Graph;
 
 /// A two-coloring of a graph's nodes with its cut value.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Partition {
     side_a: Vec<usize>,
     side_b: Vec<usize>,

@@ -13,7 +13,6 @@ use crate::error::Result;
 
 /// Full power/performance/area result for one job on one machine.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PpaResult {
     /// Timing breakdown (per batch and per job).
     pub timing: TimingBreakdown,

@@ -8,7 +8,6 @@ use crate::device::convert::{EoConverter, OeConverter};
 
 /// All per-operation/per-component constants of the PPA models.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CostParams {
     /// OPCM array programming latency — 400 ns for the reference
     /// 64 × 128-cell array \[19\]; larger arrays scale linearly in cell

@@ -10,7 +10,6 @@ use sophie_core::{OpCounts, SophieConfig};
 
 /// Average per-round workload of one job, plus the batch context.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WorkloadSummary {
     /// Problem order (number of spins).
     pub n: usize,
@@ -117,7 +116,6 @@ mod tests {
             phi: 0.2,
             alpha: 0.0,
             stochastic_spin_update: true,
-            ..SophieConfig::default()
         }
     }
 

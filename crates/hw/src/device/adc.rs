@@ -11,7 +11,6 @@ use crate::error::{HwError, Result};
 
 /// Dual-precision ADC: 1-bit threshold mode and `bits`-wide uniform mode.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DualPrecisionAdc {
     bits: u32,
     /// Full-scale range `[-range, +range]` of the multi-bit mode.

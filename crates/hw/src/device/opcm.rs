@@ -24,7 +24,6 @@ use crate::error::{HwError, Result};
 
 /// Static characteristics of a GST cell and the surrounding photonics.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct OpcmCellSpec {
     /// Distinct programmable transmittance levels per cell (64 ⇒ 6 bits).
     pub levels: u32,

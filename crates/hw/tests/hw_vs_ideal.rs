@@ -18,7 +18,6 @@ fn config(tile: usize, giters: usize) -> SophieConfig {
         phi: 0.25,
         alpha: 0.0,
         stochastic_spin_update: true,
-        ..SophieConfig::default()
     }
 }
 

@@ -20,7 +20,6 @@ use crate::par;
 /// assert_eq!(m.matvec(&[1.0, 1.0]), vec![3.0, 7.0]);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Matrix {
     rows: usize,
     cols: usize,

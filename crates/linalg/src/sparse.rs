@@ -26,7 +26,6 @@ use crate::Tile;
 /// A sparse matrix in CSR layout: per row, ascending column indices and
 /// their `f32` values.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SparseCsr {
     rows: usize,
     cols: usize,

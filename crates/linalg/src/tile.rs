@@ -14,7 +14,6 @@ use crate::Matrix;
 /// The final block row/column is zero-padded, so every tile has the same
 /// physical shape, matching the fixed-size OPCM arrays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TileGrid {
     n: usize,
     tile: usize,
@@ -22,7 +21,6 @@ pub struct TileGrid {
 
 /// Identifies one logical tile by block row and block column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TileIndex {
     /// Block-row index.
     pub row: usize,
@@ -50,7 +48,6 @@ impl TileIndex {
 /// A symmetric pair of logical tiles sharing one physical OPCM array
 /// (paper §III-D, symmetric tile mapping).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TilePair {
     /// A diagonal tile, which is its own transpose.
     Diagonal(usize),
@@ -181,7 +178,6 @@ impl TileGrid {
 /// bits, so double precision would misrepresent the hardware and waste
 /// memory bandwidth in the functional simulator.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Tile {
     size: usize,
     data: Vec<f32>,
@@ -195,7 +191,6 @@ pub struct Tile {
     /// bitwise invisible (padded outputs are `+0.0` either way) and only
     /// saves the fringe's wasted kernel work. Normalized: a full extent
     /// is always stored as `None` so trim state never affects equality.
-    #[cfg_attr(feature = "serde", serde(default))]
     used: Option<(usize, usize)>,
 }
 

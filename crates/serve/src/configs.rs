@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use sophie_baselines::{BlsConfig, PtConfig, SaConfig, SbConfig, SbVariant};
-use sophie_core::{ComputeMode, KernelChoice, SophieConfig};
+use sophie_core::SophieConfig;
 use sophie_hw::OpcmBackendConfig;
 use sophie_pris::PrisJobConfig;
 use sophie_solve::{Solver, SolverRegistry};
@@ -198,46 +198,6 @@ fn pris_config(f: &Fields<'_>) -> Result<PrisJobConfig> {
 
 fn sophie_config(f: &Fields<'_>) -> Result<SophieConfig> {
     let d = SophieConfig::default();
-    let compute = match f.get("compute") {
-        None => d.compute,
-        Some(v) => match v.as_str().and_then(ComputeMode::parse) {
-            Some(mode) => mode,
-            None => {
-                return Err(ServeError::Protocol {
-                    message: "config field `compute` must be \"dense\", \"sparse\", or \"auto\""
-                        .into(),
-                })
-            }
-        },
-    };
-    let sparse_crossover = match f.get("sparse_crossover") {
-        None => d.sparse_crossover,
-        Some(v) => Some(
-            v.as_f64()
-                .ok_or_else(|| f.type_err("sparse_crossover", "a number"))?,
-        ),
-    };
-    let queue_depth = match f.get("queue_depth") {
-        None => d.queue_depth,
-        Some(v) => Some(
-            v.as_u64()
-                .map(|n| n as usize)
-                .ok_or_else(|| f.type_err("queue_depth", "a non-negative integer"))?,
-        ),
-    };
-    let kernel = match f.get("kernel") {
-        None => d.kernel,
-        Some(v) => match v.as_str().and_then(KernelChoice::parse) {
-            Some(choice) => choice,
-            None => {
-                return Err(ServeError::Protocol {
-                    message: "config field `kernel` must be \"auto\" or a kernel variant name \
-                              (\"scalar\", \"axpy\", \"b8u1\", \"b8u4\", \"b16u4\", \"b32u2\")"
-                        .into(),
-                })
-            }
-        },
-    };
     Ok(SophieConfig {
         tile_size: f.usize("tile_size", d.tile_size)?,
         local_iters: f.usize("local_iters", d.local_iters)?,
@@ -246,10 +206,6 @@ fn sophie_config(f: &Fields<'_>) -> Result<SophieConfig> {
         phi: f.f64("phi", d.phi)?,
         alpha: f.f64("alpha", d.alpha)?,
         stochastic_spin_update: f.bool("stochastic_spin_update", d.stochastic_spin_update)?,
-        compute,
-        sparse_crossover,
-        queue_depth,
-        kernel,
     })
 }
 
@@ -313,53 +269,31 @@ mod tests {
         }
     }
 
+    /// The engine makes every wall-clock choice itself (dense or sparse
+    /// per MVM, kernel variant, flush batching), so the keys that once
+    /// selected them are typos like any other on both SOPHIE solvers.
     #[test]
-    fn sophie_compute_knobs_parse_and_validate() {
+    fn sophie_wall_clock_keys_are_unknown_config_fields() {
         let reg = default_registry();
-        for mode in ["dense", "sparse", "auto"] {
-            let cfg = Json::parse(&format!(
-                r#"{{"compute": "{mode}", "global_iters": 2, "tile_size": 8}}"#
-            ))
-            .unwrap();
-            assert!(build_solver(&reg, "sophie", Some(&cfg)).is_ok(), "{mode}");
+        for (key, value) in [
+            ("compute", r#""dense""#),
+            ("sparse_crossover", "0.25"),
+            ("queue_depth", "4"),
+            ("kernel", r#""scalar""#),
+        ] {
+            let cfg = Json::parse(&format!(r#"{{"tile_size": 8, "{key}": {value}}}"#)).unwrap();
+            for solver in ["sophie", "sophie-opcm"] {
+                match build_solver(&reg, solver, Some(&cfg)).map(|_| ()) {
+                    Err(ServeError::Protocol { message }) => assert!(
+                        message.contains("unknown config field")
+                            && message.contains(&format!("`{key}`"))
+                            && message.contains(solver),
+                        "{solver}/{key}: {message}"
+                    ),
+                    other => panic!("{solver}/{key}: expected Protocol error, got {other:?}"),
+                }
+            }
         }
-        let cfg = Json::parse(r#"{"sparse_crossover": 0.25, "tile_size": 8}"#).unwrap();
-        assert!(build_solver(&reg, "sophie", Some(&cfg)).is_ok());
-        // queue_depth is result-invariant but still a wire-settable knob.
-        let cfg = Json::parse(r#"{"queue_depth": 4, "tile_size": 8}"#).unwrap();
-        assert!(build_solver(&reg, "sophie", Some(&cfg)).is_ok());
-        let bad_depth = Json::parse(r#"{"queue_depth": 0}"#).unwrap();
-        assert!(matches!(
-            build_solver(&reg, "sophie", Some(&bad_depth)),
-            Err(ServeError::Solve(_))
-        ));
-        let mistyped_depth = Json::parse(r#"{"queue_depth": "deep"}"#).unwrap();
-        match build_solver(&reg, "sophie", Some(&mistyped_depth)).map(|_| ()) {
-            Err(ServeError::Protocol { message }) => assert!(message.contains("queue_depth")),
-            other => panic!("expected Protocol error, got {other:?}"),
-        }
-        // Kernel selection rides the same wire: "auto" and every variant
-        // name parse; an unknown name is a protocol error.
-        for kernel in ["auto", "scalar", "axpy", "b8u4"] {
-            let cfg = Json::parse(&format!(r#"{{"kernel": "{kernel}", "tile_size": 8}}"#)).unwrap();
-            assert!(build_solver(&reg, "sophie", Some(&cfg)).is_ok(), "{kernel}");
-        }
-        let bad_kernel = Json::parse(r#"{"kernel": "f64x2"}"#).unwrap();
-        match build_solver(&reg, "sophie", Some(&bad_kernel)).map(|_| ()) {
-            Err(ServeError::Protocol { message }) => assert!(message.contains("kernel")),
-            other => panic!("expected Protocol error, got {other:?}"),
-        }
-        // Bad mode string is a protocol error; bad θ is a factory rejection.
-        let bad_mode = Json::parse(r#"{"compute": "warp"}"#).unwrap();
-        match build_solver(&reg, "sophie", Some(&bad_mode)).map(|_| ()) {
-            Err(ServeError::Protocol { message }) => assert!(message.contains("compute")),
-            other => panic!("expected Protocol error, got {other:?}"),
-        }
-        let bad_theta = Json::parse(r#"{"sparse_crossover": -1.0}"#).unwrap();
-        assert!(matches!(
-            build_solver(&reg, "sophie", Some(&bad_theta)),
-            Err(ServeError::Solve(_))
-        ));
     }
 
     #[test]

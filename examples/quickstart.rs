@@ -25,7 +25,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         phi: 0.1,
         alpha: 0.0,
         stochastic_spin_update: true,
-        ..SophieConfig::default()
     };
     let solver = SophieSolver::from_graph(&graph, config)?;
     println!(

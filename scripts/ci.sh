@@ -53,7 +53,7 @@ fi
 
 # Kernel-stack gate: engine and sparse code reach the MVM kernels only
 # through a resolved KernelPlan; raw Tile::mvm/mvm_transposed calls would
-# bypass variant selection, the SOPHIE_KERNEL override, and the autotuner.
+# bypass variant selection and the autotuner.
 echo "==> grep gate: no direct Tile::mvm calls under crates/core/src/"
 if grep -rn "\.mvm(\|\.mvm_transposed(" crates/core/src/; then
     echo "core code must dispatch MVMs through KernelPlan, never Tile::mvm/mvm_transposed directly" >&2
@@ -121,10 +121,10 @@ PY
 import json, sys
 doc = json.load(open(sys.argv[1]))
 kt = doc["kernel_tune"]
-assert kt["schema"] == "sophie-kernel-tune-v1", "kernel_tune schema"
+assert kt["schema"] == "sophie-kernel-tune-v2", "kernel_tune schema"
 tiles = [p["tile"] for p in kt["plans"]]
 assert tiles == [64, 256, 500], f"kernel_tune plans cover {tiles}"
-assert len(kt["table_64"]) == 6, "one row per kernel variant"
+assert len(kt["table_64"]) == 3, "one row per kernel variant"
 sp = kt["forward_64_speedup"]
 assert sp >= 1.3, f"tuned forward 64^2 speedup regressed to {sp}x (floor: 1.3)"
 # bench-summary regeneration must have preserved the block alongside its own
@@ -152,8 +152,8 @@ assert "kernel_tune" in doc and "results" in doc, "problems upsert dropped sibli
 sa = [e for e in entries if e["solver"] == "sa"]
 print(f"problems gate: {len(kinds)} kinds, {len(sa)} annealer rows all feasible")
 PY
-    # Sparse-path smoke: the sweep itself asserts that dense and sparse
-    # compute modes produce identical reports on a G22-sized instance.
+    # Sparse-path smoke: the sweep itself asserts that the dense and sparse
+    # backends produce identical reports on a G22-sized instance.
     run cargo run --release -q -p sophie-bench --bin repro -- sparse --fast --out "$smoke_dir"
     [[ -s "$smoke_dir/sparse.csv" ]] || { echo "sparse smoke test wrote no CSV" >&2; exit 1; }
     run cargo run --release -q -p sophie-bench --bin repro -- trace --fast \

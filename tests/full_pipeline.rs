@@ -18,7 +18,6 @@ fn config(giters: usize) -> SophieConfig {
         phi: 0.1,
         alpha: 0.0,
         stochastic_spin_update: true,
-        ..SophieConfig::default()
     }
 }
 

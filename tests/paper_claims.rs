@@ -14,7 +14,6 @@ fn base_config() -> SophieConfig {
         phi: 0.1,
         alpha: 0.0,
         stochastic_spin_update: true,
-        ..SophieConfig::default()
     }
 }
 

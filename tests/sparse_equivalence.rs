@@ -1,13 +1,13 @@
 //! Sparse/dense compute-path equivalence (property-based).
 //!
-//! The `compute` knob on [`SophieConfig`] selects between the dense
-//! [`IdealBackend`](sophie::core::backend::IdealBackend) and the
-//! delta-driven [`SparseBackend`](sophie::core::SparseBackend), with
-//! `Auto` switching kernels per MVM around a density-crossover threshold.
-//! The contract (see `sophie_core::sparse`) is that this choice is
+//! The engine runs on the delta-driven
+//! [`SparseBackend`](sophie::core::SparseBackend), which switches kernels
+//! per MVM around a density-crossover threshold; the dense
+//! [`IdealBackend`](sophie::core::backend::IdealBackend) is the reference.
+//! The contract (see `sophie_core::sparse`) is that the backend is
 //! invisible in every output: cut trajectories, best bits, op counts, and
-//! the *entire typed event stream* must be byte-identical across compute
-//! modes, crossover settings (including thresholds that force kernel
+//! the *entire typed event stream* must be byte-identical across
+//! backends, crossover settings (including thresholds that force kernel
 //! switches mid-run), and thread counts.
 //!
 //! These tests randomize the instance, the algorithm configuration, and
@@ -18,7 +18,8 @@
 use std::sync::Mutex;
 
 use proptest::prelude::*;
-use sophie::core::{ComputeMode, SophieConfig, SophieSolver};
+use sophie::core::backend::{IdealBackend, MvmBackend};
+use sophie::core::{SophieConfig, SophieSolver, SparseBackend};
 use sophie::graph::generate::{gnm, WeightDist};
 use sophie::solve::EventLog;
 
@@ -34,14 +35,17 @@ fn with_threads<T>(threads: &str, f: impl FnOnce() -> T) -> T {
 
 /// One run: outcome fields plus the full event stream rendered to a
 /// string, so stream comparison is a byte comparison.
-fn run_fingerprint(
+fn run_fingerprint<B: MvmBackend>(
     g: &sophie::graph::Graph,
     cfg: &SophieConfig,
+    backend: &B,
     seed: u64,
 ) -> (f64, Vec<bool>, Vec<f64>, String) {
     let solver = SophieSolver::from_graph(g, cfg.clone()).expect("engine build");
     let mut log = EventLog::new();
-    let out = solver.run_observed(g, seed, None, &mut log).expect("run");
+    let out = solver
+        .run_with_backend_observed(backend, g, seed, None, &mut log)
+        .expect("run");
     (
         out.best_cut,
         out.best_bits,
@@ -67,15 +71,14 @@ fn config_strategy() -> impl Strategy<Value = SophieConfig> {
             phi,
             alpha: 0.0,
             stochastic_spin_update: stoch,
-            ..SophieConfig::default()
         })
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Every compute mode and crossover setting yields byte-identical
-    /// event streams and outcomes, at 1 and 4 threads.
+    /// Every backend and crossover setting yields byte-identical event
+    /// streams and outcomes, at 1 and 4 threads.
     #[test]
     fn all_compute_paths_are_byte_identical(
         cfg in config_strategy(),
@@ -88,33 +91,21 @@ proptest! {
             .unwrap();
 
         // Dense reference at one thread.
-        let dense_cfg = SophieConfig { compute: ComputeMode::Dense, ..cfg.clone() };
-        let reference = with_threads("1", || run_fingerprint(&g, &dense_cfg, seed));
+        let reference = with_threads("1", || run_fingerprint(&g, &cfg, &IdealBackend::new(), seed));
 
-        // Variants: pure sparse, auto with a genuine mid-run crossover
-        // threshold, auto forced to the dense kernel (θ → 0), and auto
-        // forced to the incremental kernel (θ huge).
+        // Variants: pure sparse, the calibrated default, a genuine mid-run
+        // crossover threshold, the dense kernel forced (θ → 0), and the
+        // incremental kernel forced (θ huge).
         let variants = [
-            SophieConfig { compute: ComputeMode::Sparse, ..cfg.clone() },
-            SophieConfig {
-                compute: ComputeMode::Auto,
-                sparse_crossover: Some(0.25),
-                ..cfg.clone()
-            },
-            SophieConfig {
-                compute: ComputeMode::Auto,
-                sparse_crossover: Some(1e-9),
-                ..cfg.clone()
-            },
-            SophieConfig {
-                compute: ComputeMode::Auto,
-                sparse_crossover: Some(1e9),
-                ..cfg.clone()
-            },
+            SparseBackend::always_sparse(),
+            SparseBackend::auto(),
+            SparseBackend::with_crossover(0.25),
+            SparseBackend::with_crossover(1e-9),
+            SparseBackend::with_crossover(1e9),
         ];
-        for (vi, vcfg) in variants.iter().enumerate() {
+        for (vi, backend) in variants.iter().enumerate() {
             for threads in ["1", "4"] {
-                let got = with_threads(threads, || run_fingerprint(&g, vcfg, seed));
+                let got = with_threads(threads, || run_fingerprint(&g, &cfg, backend, seed));
                 prop_assert_eq!(
                     &reference.0, &got.0,
                     "best_cut diverged: variant {} threads {}", vi, threads
@@ -152,14 +143,19 @@ fn warm_started_polish_is_identical_across_paths() {
         ..SophieConfig::default()
     };
     let mut fingerprints = Vec::new();
-    for compute in [ComputeMode::Dense, ComputeMode::Sparse, ComputeMode::Auto] {
-        let cfg = SophieConfig {
-            compute,
-            sparse_crossover: (compute == ComputeMode::Auto).then_some(0.1),
-            ..base.clone()
-        };
+    for threads in ["1", "4"] {
+        fingerprints.push(with_threads(threads, || {
+            run_fingerprint(&g, &base, &IdealBackend::new(), 7)
+        }));
+    }
+    for backend in [
+        SparseBackend::always_sparse(),
+        SparseBackend::with_crossover(0.1),
+    ] {
         for threads in ["1", "4"] {
-            fingerprints.push(with_threads(threads, || run_fingerprint(&g, &cfg, 7)));
+            fingerprints.push(with_threads(threads, || {
+                run_fingerprint(&g, &base, &backend, 7)
+            }));
         }
     }
     let first = &fingerprints[0];
