@@ -3,7 +3,7 @@
 use sophie_solve::OpCounts;
 
 /// Outcome of one job executed by the tiled engine.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SophieOutcome {
     /// Best cut value observed at any global synchronization point.
     pub best_cut: f64,
