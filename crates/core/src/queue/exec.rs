@@ -144,6 +144,8 @@ struct NoiseState {
     round: u64,
     rng: SmallRng,
     gauss: GaussianSource,
+    /// One tile's noise block, reused by every threshold of the chain.
+    block: Vec<f32>,
 }
 
 /// Executes one unit's command chain in submission order, appending one
@@ -307,25 +309,28 @@ fn run_mvm<U: MvmUnit>(
             round,
             rng: noise_rng(ctx.seed, round, unit_index as u64),
             gauss: GaussianSource::new(),
+            block: vec![0.0; t],
         });
         assert_eq!(st.round, round, "threshold chain spans rounds");
         let theta = &ctx.thresholds[spec.out_block * t..(spec.out_block + 1) * t];
         let scale = &ctx.noise_scale[spec.out_block * t..(spec.out_block + 1) * t];
         let offset = &ctx.offsets[vec_at(ctx.b, t, spec.tile_row, spec.tile_col)];
         let mut dest = ws.take(spec.dest);
+        // Every operand sliced to length `t` (no bounds checks in the loops)
+        // and branch-free compares (the spin is the 0/1 value of the test),
+        // so both loops vectorize.
+        let (yt, out) = (&y[..t], &mut dest[..t]);
+        let (theta, scale, offset) = (&theta[..t], &scale[..t], &offset[..t]);
         if ctx.phi > 0.0 {
+            let g = &mut st.block[..t];
+            st.gauss.fill_f32(&mut st.rng, g);
             for i in 0..t {
-                let noisy =
-                    y[i] + offset[i] + ctx.phi * scale[i] * st.gauss.sample(&mut st.rng) as f32;
-                dest[i] = if noisy >= theta[i] { 1.0 } else { 0.0 };
+                let noisy = yt[i] + offset[i] + ctx.phi * scale[i] * g[i];
+                out[i] = f32::from(u8::from(noisy >= theta[i]));
             }
         } else {
             for i in 0..t {
-                dest[i] = if y[i] + offset[i] >= theta[i] {
-                    1.0
-                } else {
-                    0.0
-                };
+                out[i] = f32::from(u8::from(yt[i] + offset[i] >= theta[i]));
             }
         }
         ws.put(spec.dest, dest);
