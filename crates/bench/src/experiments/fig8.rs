@@ -3,7 +3,7 @@
 
 use sophie_core::SophieConfig;
 
-use crate::experiments::{batch_reports, mean};
+use crate::experiments::{batch_reports, mean, spread};
 use crate::fidelity::Fidelity;
 use crate::instances::Instances;
 use crate::report::Report;
@@ -43,18 +43,25 @@ pub fn run(inst: &mut Instances, fidelity: Fidelity, report: &Report) -> std::io
                 .map(|g| (g * local) as f64)
                 .collect();
             let converged = hits.len();
-            let cell = if converged * 2 >= runs {
-                format!("{:.0}", mean(hits.iter().copied()))
+            let (cell, sd) = if converged * 2 >= runs {
+                (
+                    format!("{:.0}", mean(hits.iter().copied())),
+                    format!("{:.0}", spread(&hits)),
+                )
             } else {
-                String::new() // blank: failed to converge in budget
+                // blank: failed to converge in budget
+                (String::new(), String::new())
             };
             rows.push(vec![
                 local.to_string(),
                 format!("{frac}"),
                 cell.clone(),
+                sd.clone(),
                 format!("{converged}/{runs}"),
             ]);
-            eprintln!("[fig8] L={local} frac={frac}: {converged}/{runs} converged, avg {cell}");
+            eprintln!(
+                "[fig8] L={local} frac={frac}: {converged}/{runs} converged, avg {cell} ± {sd}"
+            );
         }
     }
     report.table(
@@ -62,7 +69,13 @@ pub fn run(inst: &mut Instances, fidelity: Fidelity, report: &Report) -> std::io
         &format!(
             "Fig. 8: G22 total local iterations to reach 95 % of best-known (budget {budget}; blank = no convergence)"
         ),
-        &["local_iters_per_global", "tile_fraction", "avg_local_iters_to_95pct", "converged"],
+        &[
+            "local_iters_per_global",
+            "tile_fraction",
+            "avg_local_iters_to_95pct",
+            "sd_local_iters_to_95pct",
+            "converged",
+        ],
         &rows,
     )?;
     report.note(

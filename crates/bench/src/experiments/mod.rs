@@ -24,6 +24,17 @@ use sophie_solve::{run_seeds, BatchReport, Solver};
 // path.
 pub(crate) use sophie_solve::stats::mean;
 
+/// Sample standard deviation of `values` (0 for fewer than two): the seed
+/// spread the quality tables report next to their means.
+pub(crate) fn spread(values: &[f64]) -> f64 {
+    if values.len() < 2 {
+        return 0.0;
+    }
+    let m = mean(values.iter().copied());
+    let ss: f64 = values.iter().map(|v| (v - m) * (v - m)).sum();
+    (ss / (values.len() - 1) as f64).sqrt()
+}
+
 /// Runs `runs` independent seeds of `solver` on `graph` through the batch
 /// scheduler and returns the aggregate [`BatchReport`] (per-run
 /// [`sophie_solve::SolveReport`]s in seed order plus mean/best/convergence
@@ -75,5 +86,12 @@ mod tests {
     fn mean_handles_empty_and_values() {
         assert_eq!(mean([]), 0.0);
         assert_eq!(mean([2.0, 4.0]), 3.0);
+    }
+
+    #[test]
+    fn spread_is_the_sample_standard_deviation() {
+        assert_eq!(spread(&[]), 0.0);
+        assert_eq!(spread(&[5.0]), 0.0);
+        assert_eq!(spread(&[2.0, 4.0]), 2.0_f64.sqrt());
     }
 }

@@ -10,10 +10,12 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 use criterion::{black_box, BenchResult, BenchmarkId, Criterion};
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 use sophie_core::backend::{IdealBackend, MvmBackend, MvmUnit};
-use sophie_core::{Schedule, SophieConfig, SophieSolver, SparseBackend};
+use sophie_core::{GaussianSource, Schedule, SophieConfig, SophieSolver, SparseBackend};
 use sophie_graph::coupling::coupling_matrix;
-use sophie_graph::generate::{gnm, WeightDist};
+use sophie_graph::generate::{gnm, presets, WeightDist};
 use sophie_hw::{OpcmBackend, OpcmBackendConfig};
 use sophie_linalg::{Matrix, SparseCsr, Tile, TileGrid};
 
@@ -320,6 +322,74 @@ pub fn incremental_round(c: &mut Criterion) {
     group.finish();
 }
 
+/// Samples per [`noise_sampler`] block.
+const NOISE_BLOCK: usize = 64;
+
+/// Threshold-noise draws on the engine's RNG type: one
+/// [`GaussianSource::sample_f32`] call, and one 64-sample
+/// [`GaussianSource::fill_f32`] block (a tile-64 threshold epilogue). The
+/// `noise_sampler` block of `BENCH_sophie.json` reports both per sample.
+pub fn noise_sampler(c: &mut Criterion) {
+    let mut group = c.benchmark_group("gaussian");
+    let mut rng = SmallRng::seed_from_u64(7);
+    let mut src = GaussianSource::new();
+    group.bench_function(BenchmarkId::new("sample_f32", 1), |b| {
+        b.iter(|| src.sample_f32(&mut rng));
+    });
+    let mut block = vec![0.0_f32; NOISE_BLOCK];
+    group.bench_function(BenchmarkId::new("fill_f32", NOISE_BLOCK), |b| {
+        b.iter(|| {
+            src.fill_f32(&mut rng, &mut block);
+            black_box(&block);
+        });
+    });
+    group.finish();
+}
+
+/// The matrix SOPHIE actually runs: the α-transformed couplings C of a
+/// G22-shaped graph (n = 2000, dense — no zero entries outside the edge
+/// tiles' padding), tile
+/// 64, φ = 0.1, at one thread, on the dense [`IdealBackend`] and on
+/// [`SparseBackend::auto`]. Outcomes are bit-identical; the median ratio
+/// is the `transformed_sparse_ratio` block of `BENCH_sophie.json`.
+/// Building C takes the n = 2000 eigendecomposition, the bulk of this
+/// suite's time.
+pub fn transformed_round(c: &mut Criterion) {
+    let mut group = c.benchmark_group("transformed_g22");
+    group.sample_size(5);
+    let n = 2000;
+    let g = presets::g22_like(22).expect("G22-shaped graph");
+    let cfg = SophieConfig {
+        tile_size: 64,
+        local_iters: 10,
+        global_iters: 20,
+        phi: 0.1,
+        ..SophieConfig::default()
+    };
+    let solver = SophieSolver::from_graph(&g, cfg).expect("transformed G22 solver");
+    let prev = std::env::var("SOPHIE_THREADS").ok();
+    std::env::set_var("SOPHIE_THREADS", "1");
+    group.bench_function(BenchmarkId::new("dense", n), |b| {
+        b.iter(|| {
+            solver
+                .run_with_backend(&IdealBackend::new(), black_box(&g), 3, None)
+                .unwrap()
+        });
+    });
+    group.bench_function(BenchmarkId::new("sparse", n), |b| {
+        b.iter(|| {
+            solver
+                .run_with_backend(&SparseBackend::auto(), black_box(&g), 3, None)
+                .unwrap()
+        });
+    });
+    match prev {
+        Some(v) => std::env::set_var("SOPHIE_THREADS", v),
+        None => std::env::remove_var("SOPHIE_THREADS"),
+    }
+    group.finish();
+}
+
 /// Runs every suite of the `mvm` and `engine` bench targets into `c`.
 pub fn all_suites(c: &mut Criterion) {
     tile_mvm(c);
@@ -329,6 +399,8 @@ pub fn all_suites(c: &mut Criterion) {
     engine_job(c);
     engine_scaling(c);
     incremental_round(c);
+    transformed_round(c);
+    noise_sampler(c);
     schedule_generation(c);
     analytic_counts(c);
 }
@@ -401,7 +473,44 @@ pub fn summary_json(
         let _ = writeln!(out, "    \"speedup\": {:.3},", dense / sparse);
         let _ = writeln!(
             out,
-            "    \"note\": \"same schedule, warm state, and seed at one thread; outcomes are bit-identical by the dense/sparse contract\""
+            "    \"note\": \"raw sparse coupling matrix K at phi = 0, which SOPHIE never runs (see transformed_sparse_ratio); same schedule, warm state, and seed at one thread; outcomes are bit-identical by the dense/sparse contract\""
+        );
+        let _ = writeln!(out, "  }},");
+    }
+
+    if let (Some(dense), Some(sparse)) = (
+        median("transformed_g22/dense/2000"),
+        median("transformed_g22/sparse/2000"),
+    ) {
+        let _ = writeln!(out, "  \"transformed_sparse_ratio\": {{");
+        let _ = writeln!(
+            out,
+            "    \"job\": \"g22_like_alpha_transformed_n2000_tile64_20x10_phi0.1\","
+        );
+        let _ = writeln!(out, "    \"dense_ns\": {dense:.1},");
+        let _ = writeln!(out, "    \"sparse_ns\": {sparse:.1},");
+        let _ = writeln!(out, "    \"ratio\": {:.3},", dense / sparse);
+        let _ = writeln!(
+            out,
+            "    \"note\": \"dense_ns / sparse_ns on the dense transformed matrix SOPHIE runs; IdealBackend vs SparseBackend::auto at one thread, bit-identical outcomes\""
+        );
+        let _ = writeln!(out, "  }},");
+    }
+
+    if let (Some(single), Some(block)) = (
+        median("gaussian/sample_f32/1"),
+        median(&format!("gaussian/fill_f32/{NOISE_BLOCK}")),
+    ) {
+        let _ = writeln!(out, "  \"noise_sampler\": {{");
+        let _ = writeln!(out, "    \"sample_f32_ns\": {single:.2},");
+        let _ = writeln!(
+            out,
+            "    \"fill_f32_ns_per_sample\": {:.2},",
+            block / NOISE_BLOCK as f64
+        );
+        let _ = writeln!(
+            out,
+            "    \"note\": \"256-layer f32 ziggurat on SmallRng; fill_f32 over {NOISE_BLOCK}-sample blocks\""
         );
         let _ = writeln!(out, "  }},");
     }

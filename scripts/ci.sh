@@ -9,7 +9,7 @@
 # (called out below: the fault-injection/recovery and determinism suites),
 # builds the examples, denies rustdoc warnings, and smoke-runs the
 # `repro` binary (the solver-registry listing, bench-summary with a
-# sparse-suite/speedup gate, the kernel autotune smoke with its 1.3x
+# sparse-suite/speedup/transformed-matrix gate, the kernel autotune smoke with its 1.3x
 # forward-speedup gate, the problem-compiler sweep with a feasible-decode
 # gate on every annealer row, the sparse dense-vs-delta equivalence sweep,
 # a JSONL event trace, a JSONL command timeline with an exact-cost-sum and
@@ -94,9 +94,11 @@ if [[ "$quick" -eq 0 ]]; then
     # batch scheduler on a tiny instance.
     run cargo run --release -q -p sophie-bench --bin repro -- solvers
     run cargo run --release -q -p sophie-bench --bin repro -- bench-summary --out "$smoke_dir"
-    # Bench gate (quick mode): the sparse kernel suites must be present and
-    # the warm-polish speedup must not regress below a conservative floor
-    # (the committed full record shows >= 5x; quick-mode medians are noisy).
+    # Bench gate (quick mode): the sparse kernel, transformed-matrix and
+    # noise-sampler suites must be present; the warm-polish speedup must not
+    # regress below a conservative floor (the committed full record shows
+    # >= 5x; quick-mode medians are noisy), and on the dense α-transformed
+    # matrix SOPHIE runs the sparse backend must stay within ~15 % of dense.
     python3 - "$smoke_dir/BENCH_sophie.json" <<'PY'
 import json, sys
 doc = json.load(open(sys.argv[1]))
@@ -107,11 +109,17 @@ for needed in (
     "sparse_matvec/incremental_1flip/64",
     "incremental_round/dense/2000",
     "incremental_round/sparse/2000",
+    "transformed_g22/dense/2000",
+    "transformed_g22/sparse/2000",
+    "gaussian/sample_f32/1",
+    "gaussian/fill_f32/64",
 ):
     assert needed in ids, f"bench summary missing {needed}"
 sp = doc["sparse_speedup"]["speedup"]
 assert sp >= 2.0, f"sparse polish speedup regressed to {sp}x (quick-mode floor: 2.0)"
-print(f"bench gate: sparse suites present, warm-polish speedup {sp:.1f}x")
+tr = doc["transformed_sparse_ratio"]["ratio"]
+assert tr >= 0.85, f"sparse/dense ratio on the transformed matrix fell to {tr} (floor: 0.85)"
+print(f"bench gate: suites present, warm-polish speedup {sp:.1f}x, transformed-matrix ratio {tr:.2f}")
 PY
     # Kernel autotune smoke: measures every variant at the acceptance tile
     # sizes, records the kernel_tune block, and --check enforces the
