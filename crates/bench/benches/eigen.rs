@@ -1,44 +1,10 @@
-//! Microbenchmarks of the symmetric eigensolver and the eigenvalue-dropout
-//! preprocessing (the host-side step of every SOPHIE job).
+//! Microbenchmarks of the host-side set-up of every SOPHIE job: the
+//! symmetric eigendecomposition and the eigenvalue-dropout transform.
+//! Suites live in [`sophie_bench::micro`] so `repro bench-summary` can run
+//! the same code in-process.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sophie_graph::coupling::{coupling_matrix, delta_diagonal};
-use sophie_graph::generate::{gnm, WeightDist};
-use sophie_linalg::eigen::{jacobi_eigen, symmetric_eigen};
-use sophie_pris::{DeltaVariant, Preprocessor};
-use std::hint::black_box;
+use criterion::{criterion_group, criterion_main};
+use sophie_bench::micro;
 
-fn bench_eigensolvers(c: &mut Criterion) {
-    let mut group = c.benchmark_group("symmetric_eigen");
-    group.sample_size(10);
-    for &n in &[64usize, 128, 256] {
-        let g = gnm(n, 4 * n, WeightDist::Unit, 7).unwrap();
-        let k = coupling_matrix(&g);
-        group.bench_with_input(BenchmarkId::new("householder_ql", n), &n, |b, _| {
-            b.iter(|| symmetric_eigen(black_box(&k)).unwrap());
-        });
-        if n <= 128 {
-            group.bench_with_input(BenchmarkId::new("jacobi", n), &n, |b, _| {
-                b.iter(|| jacobi_eigen(black_box(&k)).unwrap());
-            });
-        }
-    }
-    group.finish();
-}
-
-fn bench_dropout_transform(c: &mut Criterion) {
-    let mut group = c.benchmark_group("dropout_transform");
-    group.sample_size(10);
-    for &n in &[128usize, 512] {
-        let g = gnm(n, 4 * n, WeightDist::Unit, 3).unwrap();
-        let k = coupling_matrix(&g);
-        let pre = Preprocessor::new(&k, delta_diagonal(&g), DeltaVariant::Gershgorin).unwrap();
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| pre.transform(black_box(0.0)).unwrap());
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_eigensolvers, bench_dropout_transform);
+criterion_group!(benches, micro::eigen, micro::dropout_transform);
 criterion_main!(benches);

@@ -1,8 +1,8 @@
 //! Cyclic Jacobi eigensolver for symmetric matrices.
 //!
-//! Slower than the Householder + QL pipeline but extremely robust and simple,
-//! so it serves as an independent cross-check in tests and as the solver of
-//! choice for tiny systems.
+//! Slower than the Householder + divide-and-conquer pipeline but extremely
+//! robust and simple, so it serves as an independent cross-check in tests
+//! and as the solver of choice for tiny systems.
 
 use crate::error::{LinalgError, Result};
 use crate::Matrix;

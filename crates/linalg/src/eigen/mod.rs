@@ -1,18 +1,31 @@
 //! Symmetric eigendecomposition.
 //!
-//! The production pipeline is Householder tridiagonalization
-//! (`tridiagonal`) followed by implicit-shift QL iteration (`ql`) — the
-//! same O(n³) direct method dense LAPACK uses (`dsyev` family), implemented
-//! from scratch because SOPHIE's eigenvalue-dropout preprocessing (paper
-//! §II-C) needs the full spectrum of coupling matrices up to a few thousand
-//! nodes. A cyclic [`jacobi_eigen`] solver provides an independent implementation
-//! for cross-validation.
+//! The production pipeline is the one dense LAPACK runs in `dsyevd`:
+//!
+//! 1. Householder reduction to tridiagonal form (`tridiagonal`), keeping
+//!    the reflectors instead of forming `Q`;
+//! 2. divide and conquer on the tridiagonal matrix (`dc`): Cuppen tears,
+//!    deflation, a shifted-origin secular-equation solver, Löwner's
+//!    formula for orthogonal vectors, and merges that are matrix products.
+//!    Leaves of at most 32 rows are solved by implicit-shift QL (`ql`);
+//! 3. back-transformation `U = Q Z`, applying the reflectors to `Z` in
+//!    compact-WY blocks.
+//!
+//! Every O(n³) step other than the reduction runs through the one blocked
+//! product kernel behind [`Matrix::matmul`], whose results do not depend on
+//! `SOPHIE_THREADS`. It is implemented from scratch because SOPHIE's
+//! eigenvalue-dropout preprocessing (paper §II-C) needs the full spectrum of
+//! coupling matrices up to a few thousand nodes. A cyclic [`jacobi_eigen`]
+//! solver provides an independent implementation for cross-validation.
 
+mod dc;
 mod jacobi;
 mod ql;
 mod tridiagonal;
 
 pub use jacobi::{jacobi_eigen, JacobiEigen};
+
+use std::time::{Duration, Instant};
 
 use crate::error::{LinalgError, Result};
 use crate::Matrix;
@@ -45,37 +58,54 @@ impl SymmetricEigen {
 
     /// Builds `U f(D) Uᵀ` for an arbitrary spectral function `f`.
     ///
-    /// When `f` is non-negative over the spectrum the construction uses the
-    /// factored form `(U √f)(U √f)ᵀ`, halving the cost; otherwise it falls
-    /// back to two general products.
+    /// Same as [`SymmetricEigen::apply_values`] on `f` of every eigenvalue.
     #[must_use]
     pub fn apply_fn<F: Fn(f64) -> f64>(&self, f: F) -> Matrix {
-        let n = self.dim();
         let fv: Vec<f64> = self.values.iter().map(|&x| f(x)).collect();
+        self.apply_values(&fv)
+    }
+
+    /// Builds `U diag(fv) Uᵀ` from one spectral value per eigenpair.
+    ///
+    /// Eigenvectors whose value is zero contribute nothing and are dropped
+    /// before any product. When every value is non-negative the result is
+    /// the Gram matrix `(U √f)(U √f)ᵀ`, which costs half a general product
+    /// and is exactly symmetric; otherwise it is `(U f) Uᵀ`. Both go
+    /// through the blocked product kernel behind [`Matrix::matmul`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fv.len() != self.dim()`.
+    #[must_use]
+    pub fn apply_values(&self, fv: &[f64]) -> Matrix {
+        let n = self.dim();
+        assert_eq!(fv.len(), n, "apply_values: one value per eigenpair");
+        let keep: Vec<usize> = (0..n).filter(|&k| fv[k] != 0.0).collect();
+        let columns = |weight: fn(f64) -> f64| {
+            Matrix::from_fn(n, keep.len(), |r, j| {
+                self.vectors[(r, keep[j])] * weight(fv[keep[j]])
+            })
+        };
         if fv.iter().all(|&x| x >= 0.0) {
-            // B = U diag(√f); result = B Bᵀ.
-            let mut b = Matrix::zeros(n, n);
-            for r in 0..n {
-                let urow = self.vectors.row(r);
-                let brow = b.row_mut(r);
-                for c in 0..n {
-                    brow[c] = urow[c] * fv[c].sqrt();
-                }
-            }
-            b.gram()
+            columns(f64::sqrt).gram()
         } else {
-            let mut ud = Matrix::zeros(n, n);
-            for r in 0..n {
-                let urow = self.vectors.row(r);
-                let drow = ud.row_mut(r);
-                for c in 0..n {
-                    drow[c] = urow[c] * fv[c];
-                }
-            }
-            ud.matmul(&self.vectors.transposed())
-                .expect("shapes are square by construction")
+            columns(|x| x)
+                .matmul_transposed(&columns(|_| 1.0))
+                .expect("both factors have one column per kept eigenpair")
         }
     }
+}
+
+/// Wall-clock split of one eigendecomposition, from
+/// [`symmetric_eigen_with_phases`].
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct EigenPhases {
+    /// Householder reduction to tridiagonal form.
+    pub reduction: Duration,
+    /// Divide-and-conquer solve of the tridiagonal matrix.
+    pub tridiagonal: Duration,
+    /// Back-transformation `U = Q Z` through the stored reflectors.
+    pub back_transform: Duration,
 }
 
 /// Computes the full eigendecomposition of a symmetric matrix.
@@ -83,8 +113,9 @@ impl SymmetricEigen {
 /// # Errors
 ///
 /// * [`LinalgError::Empty`] / [`LinalgError::NotSquare`] for malformed input.
+/// * [`LinalgError::NonFinite`] if any entry is NaN or infinite.
 /// * [`LinalgError::NotSymmetric`] if asymmetry exceeds `1e-9 · (1 + max|a|)`.
-/// * [`LinalgError::ConvergenceFailure`] if QL iteration stalls
+/// * [`LinalgError::ConvergenceFailure`] if a QL leaf stalls
 ///   (practically unreachable).
 ///
 /// ```
@@ -99,6 +130,15 @@ impl SymmetricEigen {
 /// # }
 /// ```
 pub fn symmetric_eigen(a: &Matrix) -> Result<SymmetricEigen> {
+    symmetric_eigen_with_phases(a).map(|(eig, _)| eig)
+}
+
+/// [`symmetric_eigen`], also reporting how long each phase took.
+///
+/// # Errors
+///
+/// As [`symmetric_eigen`].
+pub fn symmetric_eigen_with_phases(a: &Matrix) -> Result<(SymmetricEigen, EigenPhases)> {
     if a.rows() == 0 {
         return Err(LinalgError::Empty);
     }
@@ -108,6 +148,9 @@ pub fn symmetric_eigen(a: &Matrix) -> Result<SymmetricEigen> {
             cols: a.cols(),
         });
     }
+    if a.as_slice().iter().any(|x| !x.is_finite()) {
+        return Err(LinalgError::NonFinite);
+    }
     let asym = a.max_asymmetry();
     if asym > 1e-9 * (1.0 + a.max_abs()) {
         return Err(LinalgError::NotSymmetric {
@@ -116,23 +159,22 @@ pub fn symmetric_eigen(a: &Matrix) -> Result<SymmetricEigen> {
     }
 
     let n = a.rows();
+    let t0 = Instant::now();
     let mut z = a.as_slice().to_vec();
-    let (mut d, mut e) = tridiagonal::tridiagonalize(&mut z, n);
-
-    // Transpose Q in place so QL rotations act on contiguous rows.
-    for r in 0..n {
-        for c in (r + 1)..n {
-            z.swap(r * n + c, c * n + r);
-        }
-    }
-    ql::ql_implicit(&mut d, &mut e, &mut z, n)?;
-
-    // Sort eigenvalues ascending and emit eigenvectors as columns.
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&i, &j| d[i].total_cmp(&d[j]));
-    let values: Vec<f64> = order.iter().map(|&i| d[i]).collect();
-    let vectors = Matrix::from_fn(n, n, |r, c| z[order[c] * n + r]);
-    Ok(SymmetricEigen { values, vectors })
+    let (mut d, e, reflectors) = tridiagonal::tridiagonalize(&mut z, n);
+    let t1 = Instant::now();
+    // The reduction's scratch becomes the tridiagonal eigenvector matrix,
+    // then, mapped through Q in place, the result.
+    dc::tridiagonal_eigen(&mut d, &e, &mut z)?;
+    let t2 = Instant::now();
+    reflectors.apply(&mut z);
+    let phases = EigenPhases {
+        reduction: t1 - t0,
+        tridiagonal: t2 - t1,
+        back_transform: t2.elapsed(),
+    };
+    let vectors = Matrix::from_vec(n, n, z).expect("n × n buffer by construction");
+    Ok((SymmetricEigen { values: d, vectors }, phases))
 }
 
 #[cfg(test)]
@@ -150,6 +192,106 @@ mod tests {
         };
         let raw = Matrix::from_fn(n, n, |_, _| next());
         Matrix::from_fn(n, n, |r, c| raw[(r, c)] + raw[(c, r)])
+    }
+
+    /// `max|A U − U Λ|` and `max|UᵀU − I|`.
+    fn residual_and_orthogonality(a: &Matrix, e: &SymmetricEigen) -> (f64, f64) {
+        let n = a.rows();
+        let au = a.matmul(&e.vectors).unwrap();
+        let mut res = 0.0_f64;
+        for r in 0..n {
+            for c in 0..n {
+                res = res.max((au[(r, c)] - e.vectors[(r, c)] * e.values[c]).abs());
+            }
+        }
+        let utu = e.vectors.matmul_transposed(&e.vectors).unwrap();
+        (res, utu.max_abs_diff(&Matrix::identity(n)))
+    }
+
+    /// Coupling-style matrix of a random graph: `edges` unit edges on `n`
+    /// nodes (duplicates merge), zero diagonal.
+    fn random_graph(n: usize, edges: usize, seed: u64) -> Matrix {
+        let mut state = seed;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize % n
+        };
+        let mut k = Matrix::zeros(n, n);
+        for _ in 0..edges {
+            let (u, v) = (next(), next());
+            if u != v {
+                k[(u, v)] = -1.0;
+                k[(v, u)] = -1.0;
+            }
+        }
+        k
+    }
+
+    #[test]
+    fn rejects_non_finite_input() {
+        let mut upper_nan = pseudorandom_symmetric(6, 1);
+        upper_nan[(1, 4)] = f64::NAN;
+        let mut symmetric_nan = pseudorandom_symmetric(6, 2);
+        symmetric_nan[(2, 3)] = f64::NAN;
+        symmetric_nan[(3, 2)] = f64::NAN;
+        let mut infinite = pseudorandom_symmetric(6, 3);
+        infinite[(0, 0)] = f64::INFINITY;
+        for a in [upper_nan, symmetric_nan, infinite] {
+            assert_eq!(symmetric_eigen(&a).unwrap_err(), LinalgError::NonFinite);
+        }
+    }
+
+    #[test]
+    fn complete_graph_has_a_degenerate_spectrum() {
+        // K_n couplings (all −1 off the diagonal): eigenvalue 1 with
+        // multiplicity n−1 and −(n−1) once.
+        let n = 70;
+        let a = Matrix::from_fn(n, n, |r, c| if r == c { 0.0 } else { -1.0 });
+        let e = symmetric_eigen(&a).unwrap();
+        assert!((e.values[0] + (n - 1) as f64).abs() < 1e-12);
+        assert!(e.values[1..].iter().all(|&v| (v - 1.0).abs() < 1e-12));
+        let (res, orth) = residual_and_orthogonality(&a, &e);
+        assert!(
+            res < 1e-12 && orth < 1e-13,
+            "residual {res:e}, orthogonality {orth:e}"
+        );
+    }
+
+    #[test]
+    fn disconnected_graph_splits_cleanly() {
+        // Two components and isolated nodes: zero blocks in K and exact
+        // zero couplings in the tridiagonal form.
+        let n = 90;
+        let left = random_graph(40, 120, 5);
+        let right = random_graph(35, 100, 6);
+        let a = Matrix::from_fn(n, n, |r, c| match (r, c) {
+            (r, c) if r < 40 && c < 40 => left[(r, c)],
+            (r, c) if (40..75).contains(&r) && (40..75).contains(&c) => right[(r - 40, c - 40)],
+            _ => 0.0,
+        });
+        let e = symmetric_eigen(&a).unwrap();
+        let (res, orth) = residual_and_orthogonality(&a, &e);
+        assert!(
+            res < 1e-12 && orth < 1e-13,
+            "residual {res:e}, orthogonality {orth:e}"
+        );
+        let jac = jacobi_eigen(&a).unwrap();
+        for (x, y) in e.values.iter().zip(&jac.values) {
+            assert!((x - y).abs() < 1e-9, "{x} vs Jacobi {y}");
+        }
+    }
+
+    #[test]
+    fn g22_shaped_n600_is_accurate() {
+        // G22's density (≈10 edges per node) at n = 600.
+        let a = random_graph(600, 3000, 22);
+        let e = symmetric_eigen(&a).unwrap();
+        let norm = e.values[0].abs().max(e.values[599].abs());
+        let (res, orth) = residual_and_orthogonality(&a, &e);
+        assert!(res <= 1e-10 * norm, "residual {res:e} against ‖K‖ = {norm}");
+        assert!(orth <= 1e-11, "orthogonality {orth:e}");
     }
 
     #[test]
@@ -191,9 +333,9 @@ mod tests {
     #[test]
     fn agrees_with_jacobi_solver() {
         let a = pseudorandom_symmetric(16, 42);
-        let ql = symmetric_eigen(&a).unwrap();
+        let eig = symmetric_eigen(&a).unwrap();
         let jac = jacobi_eigen(&a).unwrap();
-        for (x, y) in ql.values.iter().zip(&jac.values) {
+        for (x, y) in eig.values.iter().zip(&jac.values) {
             assert!((x - y).abs() < 1e-8, "eigenvalue mismatch: {x} vs {y}");
         }
     }

@@ -1,6 +1,7 @@
 //! Implicit-shift QL iteration on a symmetric tridiagonal matrix.
 //!
-//! This is the `tql2`/`tqli` routine. For cache friendliness the
+//! This is the `tql2`/`tqli` routine, used as the leaf solver of the
+//! divide-and-conquer eigensolver (`dc`). For cache friendliness the
 //! accumulated transformation is kept *transposed* (`zt`, eigenvectors as
 //! rows): each Givens rotation then touches two adjacent contiguous rows
 //! instead of two strided columns, which matters at `n ≈ 2000`.
@@ -43,6 +44,13 @@ pub(crate) fn ql_implicit(d: &mut [f64], e: &mut [f64], zt: &mut [f64], n: usize
         e[i - 1] = e[i];
     }
     e[n - 1] = 0.0;
+    // Norm floor of the split test (EISPACK `tql2`): a coupling below
+    // ε·‖T‖ is negligible even between zero diagonal entries, where the
+    // purely local test |e| ≤ ε(|d_m| + |d_{m+1}|) can never pass.
+    let norm = d
+        .iter()
+        .zip(e.iter())
+        .fold(0.0_f64, |acc, (a, b)| acc.max(a.abs() + b.abs()));
 
     for l in 0..n {
         let mut iter = 0usize;
@@ -51,7 +59,7 @@ pub(crate) fn ql_implicit(d: &mut [f64], e: &mut [f64], zt: &mut [f64], n: usize
             let mut m = l;
             while m + 1 < n {
                 let dd = d[m].abs() + d[m + 1].abs();
-                if e[m].abs() <= f64::EPSILON * dd {
+                if e[m].abs() <= f64::EPSILON * dd.max(norm) {
                     break;
                 }
                 m += 1;

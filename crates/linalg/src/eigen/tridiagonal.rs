@@ -1,41 +1,111 @@
-//! Householder reduction of a real symmetric matrix to tridiagonal form.
+//! Householder reduction of a real symmetric matrix to tridiagonal form,
+//! and the blocked back-transformation of eigenvectors.
 //!
-//! This is the classic `tred2` routine (EISPACK / Numerical Recipes
+//! The reduction is the classic `tred2` sweep (EISPACK / Numerical Recipes
 //! lineage): a sequence of Householder reflections zeroes out everything
-//! below the first subdiagonal while the product of the reflections is
-//! accumulated so the caller can recover eigenvectors of the original
-//! matrix.
-//!
-//! The implementation reorganizes the textbook inner loops for cache
+//! below the first subdiagonal. The inner loops are reorganized for cache
 //! friendliness: the `A·w` product over the shrinking symmetric submatrix
 //! (the dominant O(n³) term) walks the packed lower triangle row-wise in
 //! two unit-stride passes instead of the strided column traversal of the
 //! original, and the rank-2 update runs on parallel row chunks.
+//!
+//! The product `Q` of the reflections is never formed. The reflectors are
+//! packed into [`Reflectors`], and [`Reflectors::apply`] maps the
+//! tridiagonal eigenvectors `Z` (from the divide-and-conquer solver in
+//! `dc`) to `U = Q Z` directly: blocks of reflectors are combined into the
+//! compact WY form `I − V T Vᵀ` (LAPACK `dlarft`), so the 2n³ flops of the
+//! back-transformation run as three products through the one blocked
+//! [`gemm`] kernel.
 
+use crate::matrix::{gemm, MatRef, Store};
 use crate::par;
 
+/// Reflectors per compact-WY block of [`Reflectors::apply`].
+const WY_BLOCK: usize = 128;
+
+/// The Householder reflections of one reduction, `A = Q T Qᵀ` with
+/// `Q = P_{n−1} ⋯ P_2` and `P_i = I − τ_i u_i u_iᵀ` acting on coordinates
+/// `0..i`.
+#[derive(Debug, Clone)]
+pub(crate) struct Reflectors {
+    n: usize,
+    /// `u_i` (length `i`) stored back to back from offset `i(i−1)/2`.
+    u: Vec<f64>,
+    /// `τ_i = 1/h_i`, or 0 where step `i` reflected nothing.
+    tau: Vec<f64>,
+}
+
+impl Reflectors {
+    fn u(&self, i: usize) -> &[f64] {
+        let off = i * (i - 1) / 2;
+        &self.u[off..off + i]
+    }
+
+    /// Overwrites the row-major `n × n` matrix `z` with `Q z`.
+    ///
+    /// Reflectors are applied in ascending blocks of [`WY_BLOCK`]. For the
+    /// block `M = P_{b+k−1} ⋯ P_b = I − V T Vᵀ` (columns of `V` are the
+    /// `u_i` in descending `i`, `T` upper triangular), `z` restricted to the
+    /// rows `0..b+k−1` the block touches becomes `z − V (T (Vᵀ z))`.
+    pub(crate) fn apply(&self, z: &mut [f64]) {
+        let n = self.n;
+        debug_assert_eq!(z.len(), n * n);
+        let mut v = Vec::new();
+        let mut t = Vec::new();
+        let mut vtv = Vec::new();
+        let mut w = vec![0.0; WY_BLOCK * n];
+        let mut tw = vec![0.0; WY_BLOCK * n];
+        for b in (2..n).step_by(WY_BLOCK) {
+            let k = WY_BLOCK.min(n - b);
+            let rows = b + k - 1;
+            // V: rows × k, column j = u_{b+k−1−j} zero-padded.
+            v.clear();
+            v.resize(rows * k, 0.0);
+            for j in 0..k {
+                for (r, &x) in self.u(b + k - 1 - j).iter().enumerate() {
+                    v[r * k + j] = x;
+                }
+            }
+            // T by the dlarft recurrence: T[..j, j] = −τ_j T[..j, ..j] Vᵀ v_j.
+            let vref = MatRef::row_major(&v, rows, k, k);
+            vtv.resize(k * k, 0.0);
+            gemm(vref.t(), vref, &mut vtv, k, Store::Upper);
+            t.clear();
+            t.resize(k * k, 0.0);
+            for j in 0..k {
+                let tau = self.tau[b + k - 1 - j];
+                t[j * k + j] = tau;
+                for i in 0..j {
+                    let s: f64 = (i..j).map(|l| t[i * k + l] * vtv[l * k + j]).sum();
+                    t[i * k + j] = -tau * s;
+                }
+            }
+            let zrows = MatRef::row_major(&z[..rows * n], rows, n, n);
+            gemm(vref.t(), zrows, &mut w[..k * n], n, Store::Overwrite);
+            let tref = MatRef::row_major(&t, k, k, k);
+            let wref = MatRef::row_major(&w[..k * n], k, n, n);
+            gemm(tref, wref, &mut tw[..k * n], n, Store::Overwrite);
+            let twref = MatRef::row_major(&tw[..k * n], k, n, n);
+            gemm(vref, twref, &mut z[..rows * n], n, Store::Subtract);
+        }
+    }
+}
+
 /// Reduces the symmetric matrix stored row-major in `z` (size `n × n`) to
-/// tridiagonal form.
+/// tridiagonal form `A = Q T Qᵀ`.
 ///
-/// On return, `z` holds the accumulated orthogonal transformation `Q`
-/// (`A = Q T Qᵀ`), and the returned `(d, e)` hold the diagonal and
-/// subdiagonal of `T` (`e[0]` is unused and set to zero, `e[i]` couples
-/// `d[i-1]` and `d[i]`).
+/// Returns the diagonal `d` and subdiagonal `e` of `T` (`e[0]` is unused
+/// and set to zero, `e[i]` couples `d[i-1]` and `d[i]`) and the packed
+/// reflections that make up `Q`. Only the lower triangle of `z` is read;
+/// on return `z` holds scratch the caller may reuse.
 ///
 /// The caller guarantees `z.len() == n * n` and symmetry of the input; this
 /// is enforced by [`crate::eigen::symmetric_eigen`].
-pub(crate) fn tridiagonalize(z: &mut [f64], n: usize) -> (Vec<f64>, Vec<f64>) {
+pub(crate) fn tridiagonalize(z: &mut [f64], n: usize) -> (Vec<f64>, Vec<f64>, Reflectors) {
     debug_assert_eq!(z.len(), n * n);
     let mut d = vec![0.0; n];
     let mut e = vec![0.0; n];
-    if n == 0 {
-        return (d, e);
-    }
-    if n == 1 {
-        d[0] = z[0];
-        z[0] = 1.0;
-        return (d, e);
-    }
+    let mut tau = vec![0.0; n];
 
     let mut g_vec = vec![0.0; n];
 
@@ -84,7 +154,6 @@ pub(crate) fn tridiagonalize(z: &mut [f64], n: usize) -> (Vec<f64>, Vec<f64>) {
 
                 f = 0.0;
                 for j in 0..=l {
-                    z[j * n + i] = z[i * n + j] / h;
                     e[j] = g_vec[j] / h;
                     f += e[j] * z[i * n + j];
                 }
@@ -115,57 +184,19 @@ pub(crate) fn tridiagonalize(z: &mut [f64], n: usize) -> (Vec<f64>, Vec<f64>) {
         } else {
             e[i] = z[i * n + l];
         }
-        d[i] = h;
+        if h != 0.0 {
+            tau[i] = 1.0 / h;
+        }
     }
 
-    d[0] = 0.0;
     e[0] = 0.0;
-    // Accumulate the transformation. Reorganized row-wise: with
-    // w = z[i][0..i] (the scaled Householder vector) and v = z[0..i][i]
-    // (w/h), the textbook column loops are g = Zᵀw followed by the rank-1
-    // update Z -= v gᵀ — both expressible as unit-stride row operations.
-    let mut v = vec![0.0; n];
+    let mut u = vec![0.0; n * n.saturating_sub(1) / 2];
     for i in 0..n {
-        if d[i] != 0.0 {
-            g_vec[..i].fill(0.0);
-            for k in 0..i {
-                v[k] = z[k * n + i];
-            }
-            {
-                let (lower, wrow) = z.split_at(i * n);
-                let w = &wrow[..i];
-                for k in 0..i {
-                    let wk = w[k];
-                    if wk != 0.0 {
-                        let row = &lower[k * n..k * n + i];
-                        for (gj, &a) in g_vec[..i].iter_mut().zip(row) {
-                            *gj += wk * a;
-                        }
-                    }
-                }
-            }
-            let gv = &g_vec[..i];
-            let vv = &v[..i];
-            let workers = par::worker_count(i.div_ceil(128));
-            par::for_each_row_chunk_mut(&mut z[..i * n], n, workers, |row0, chunk| {
-                for (local_k, row) in chunk.chunks_mut(n).enumerate() {
-                    let vk = vv[row0 + local_k];
-                    if vk != 0.0 {
-                        for (a, &g) in row[..i].iter_mut().zip(gv) {
-                            *a -= vk * g;
-                        }
-                    }
-                }
-            });
-        }
         d[i] = z[i * n + i];
-        z[i * n + i] = 1.0;
-        for j in 0..i {
-            z[j * n + i] = 0.0;
-            z[i * n + j] = 0.0;
-        }
+        let off = i * i.saturating_sub(1) / 2;
+        u[off..off + i].copy_from_slice(&z[i * n..i * n + i]);
     }
-    (d, e)
+    (d, e, Reflectors { n, u, tau })
 }
 
 #[cfg(test)]
@@ -187,10 +218,18 @@ mod tests {
         qm.matmul(&t).unwrap().matmul(&qm.transposed()).unwrap()
     }
 
+    /// Forms `Q` explicitly by applying the reflectors to the identity.
+    fn form_q(refl: &Reflectors, n: usize) -> Vec<f64> {
+        let mut q = Matrix::identity(n).into_vec();
+        refl.apply(&mut q);
+        q
+    }
+
     fn check_roundtrip(a: &Matrix) {
         let n = a.rows();
         let mut z = a.as_slice().to_vec();
-        let (d, e) = tridiagonalize(&mut z, n);
+        let (d, e, refl) = tridiagonalize(&mut z, n);
+        let z = form_q(&refl, n);
         let back = reconstruct(&z, &d, &e, n);
         assert!(
             back.max_abs_diff(a) < 1e-9 * (1.0 + a.max_abs()),
@@ -234,10 +273,18 @@ mod tests {
     #[test]
     fn handles_one_by_one() {
         let mut z = vec![5.0];
-        let (d, e) = tridiagonalize(&mut z, 1);
+        let (d, e, refl) = tridiagonalize(&mut z, 1);
         assert_eq!(d, vec![5.0]);
         assert_eq!(e, vec![0.0]);
-        assert_eq!(z, vec![1.0]);
+        assert_eq!(form_q(&refl, 1), vec![1.0]);
+    }
+
+    #[test]
+    fn roundtrip_spans_several_wy_blocks() {
+        let n = 2 * WY_BLOCK + 37;
+        let raw = Matrix::from_fn(n, n, |r, c| (((r * 29 + c * 11) % 47) as f64) / 8.0 - 2.9);
+        let a = Matrix::from_fn(n, n, |r, c| 0.5 * (raw[(r, c)] + raw[(c, r)]));
+        check_roundtrip(&a);
     }
 
     #[test]

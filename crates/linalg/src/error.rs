@@ -36,6 +36,8 @@ pub enum LinalgError {
     },
     /// A zero-sized matrix was supplied where a non-empty one is required.
     Empty,
+    /// The input holds a NaN or an infinity.
+    NonFinite,
 }
 
 impl fmt::Display for LinalgError {
@@ -57,6 +59,7 @@ impl fmt::Display for LinalgError {
                 "eigensolver failed to converge for eigenvalue {index} after {iterations} iterations"
             ),
             LinalgError::Empty => write!(f, "matrix must be non-empty"),
+            LinalgError::NonFinite => write!(f, "matrix has a NaN or infinite entry"),
         }
     }
 }

@@ -6,10 +6,11 @@
 //! arrays. This crate provides exactly those building blocks, implemented
 //! from scratch:
 //!
-//! * [`Matrix`] — dense row-major `f64` matrices with (row-parallel)
-//!   products and symmetry utilities;
-//! * [`eigen`] — a Householder + implicit-QL symmetric eigensolver, plus an
-//!   independent Jacobi solver for cross-validation;
+//! * [`Matrix`] — dense row-major `f64` matrices whose products share one
+//!   register-blocked, thread-count-independent kernel, and symmetry
+//!   utilities;
+//! * [`eigen`] — a Householder + divide-and-conquer symmetric eigensolver,
+//!   plus an independent Jacobi solver for cross-validation;
 //! * [`tile`] — the tiling model ([`tile::TileGrid`], zero-padded
 //!   [`tile::Tile`]s in `f32`, and symmetric tile-pair enumeration that
 //!   underpins the paper's ≈2× OPCM area saving);

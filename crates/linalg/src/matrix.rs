@@ -3,9 +3,11 @@
 //! This is the working representation for coupling matrices `K`, the
 //! transformation matrix `C` produced by eigenvalue dropout, and the
 //! orthogonal factors of the symmetric eigendecomposition. Sizes in SOPHIE's
-//! functional simulation stay below a few thousand, so a flat `Vec<f64>` with
-//! straightforward kernels (plus row-chunk parallelism for the O(n³) ones)
-//! is the right tool.
+//! functional simulation stay below a few thousand, so a flat `Vec<f64>` is
+//! the right tool. All O(n³) products — [`Matrix::matmul`],
+//! [`Matrix::gram`], and inside the eigensolver the divide-and-conquer
+//! merges and the back-transformation — go through one register-blocked,
+//! packed-panel kernel, `gemm`.
 
 use crate::error::{LinalgError, Result};
 use crate::par;
@@ -201,7 +203,7 @@ impl Matrix {
         y
     }
 
-    /// Matrix product `A B`, parallelized over output rows.
+    /// Matrix product `A B` through the blocked `gemm` kernel.
     ///
     /// # Errors
     ///
@@ -214,56 +216,68 @@ impl Matrix {
             });
         }
         let mut out = Matrix::zeros(self.rows, rhs.cols);
-        let n = rhs.cols;
-        let workers = par::worker_count(self.rows);
-        par::for_each_row_chunk_mut(&mut out.data, n, workers, |row0, chunk| {
-            for (local_r, out_row) in chunk.chunks_mut(n).enumerate() {
-                let r = row0 + local_r;
-                // ikj ordering: stream rhs rows through the output row.
-                for (k, &a_rk) in self.row(r).iter().enumerate() {
-                    if a_rk != 0.0 {
-                        let rhs_row = rhs.row(k);
-                        for (o, &b) in out_row.iter_mut().zip(rhs_row) {
-                            *o += a_rk * b;
-                        }
-                    }
-                }
-            }
-        });
+        gemm(
+            self.view(),
+            rhs.view(),
+            &mut out.data,
+            rhs.cols,
+            Store::Overwrite,
+        );
         Ok(out)
     }
 
-    /// Symmetric rank-k style product `B Bᵀ` where `B = self`, exploiting
-    /// symmetry of the result and parallelizing over rows.
+    /// Product `A Bᵀ` without materializing the transpose.
     ///
-    /// Used to reconstruct `C = U f(D) Uᵀ = (U √f)(U √f)ᵀ` when the spectral
-    /// function `f` is non-negative, which halves the flop count compared to
-    /// two general products.
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::DimensionMismatch`] if `self.cols() != rhs.cols()`.
+    pub(crate) fn matmul_transposed(&self, rhs: &Matrix) -> Result<Matrix> {
+        if self.cols != rhs.cols {
+            return Err(LinalgError::DimensionMismatch {
+                expected: (self.rows, self.cols),
+                found: (rhs.rows, rhs.cols),
+            });
+        }
+        let mut out = Matrix::zeros(self.rows, rhs.rows);
+        gemm(
+            self.view(),
+            rhs.view().t(),
+            &mut out.data,
+            rhs.rows,
+            Store::Overwrite,
+        );
+        Ok(out)
+    }
+
+    /// Symmetric product `B Bᵀ` where `B = self`.
+    ///
+    /// Used to build `C = U f(D) Uᵀ = (U √f)(U √f)ᵀ` when the spectral
+    /// function `f` is non-negative. The `gemm` kernel computes only the
+    /// register tiles that touch the upper triangle, which halves the flop
+    /// count, and the lower triangle is mirrored from it, so the result is
+    /// exactly symmetric.
     #[must_use]
     pub fn gram(&self) -> Matrix {
         let n = self.rows;
         let mut out = Matrix::zeros(n, n);
-        let workers = par::worker_count(n);
-        par::for_each_row_chunk_mut(&mut out.data, n, workers, |row0, chunk| {
-            for (local_r, out_row) in chunk.chunks_mut(n).enumerate() {
-                let r = row0 + local_r;
-                let br = self.row(r);
-                // Compute the upper triangle r..n; the mirror is filled below.
-                for (c, out_rc) in out_row.iter_mut().enumerate().skip(r) {
-                    *out_rc = crate::vector::dot(br, self.row(c));
-                }
-            }
-        });
-        // Mirror the upper triangle into the lower triangle.
+        gemm(self.view(), self.view().t(), &mut out.data, n, Store::Upper);
         for r in 1..n {
             for c in 0..r {
-                out[(r, c)] = out[(c, r)];
+                out.data[r * n + c] = out.data[c * n + r];
             }
         }
         out
     }
 
+    /// Borrows the matrix as a kernel operand.
+    pub(crate) fn view(&self) -> MatRef<'_> {
+        MatRef::row_major(&self.data, self.rows, self.cols, self.cols)
+    }
+
     /// Largest absolute difference `max |a_ij - a_ji|` over all pairs.
+    ///
+    /// NaN if any difference is NaN (a NaN or a pair of equal infinities
+    /// off the diagonal), so a `<=` tolerance check rejects it.
     ///
     /// # Panics
     ///
@@ -274,7 +288,12 @@ impl Matrix {
         let mut m = 0.0_f64;
         for r in 0..self.rows {
             for c in (r + 1)..self.cols {
-                m = m.max((self[(r, c)] - self[(c, r)]).abs());
+                let d = (self[(r, c)] - self[(c, r)]).abs();
+                // `f64::max` drops NaN; a NaN difference must win instead.
+                if d.is_nan() {
+                    return f64::NAN;
+                }
+                m = m.max(d);
             }
         }
         m
@@ -326,6 +345,229 @@ impl Matrix {
             .map(|r| crate::vector::sum(self.row(r)))
             .collect()
     }
+}
+
+/// Read-only strided operand of `gemm`: element `(r, c)` lives at
+/// `data[r * rs + c * cs]`, so one buffer serves as a matrix or, through
+/// [`MatRef::t`], as its transpose without a copy.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MatRef<'a> {
+    data: &'a [f64],
+    rows: usize,
+    cols: usize,
+    rs: usize,
+    cs: usize,
+}
+
+impl<'a> MatRef<'a> {
+    /// A `rows × cols` row-major block whose rows start `ld` apart.
+    pub(crate) fn row_major(data: &'a [f64], rows: usize, cols: usize, ld: usize) -> Self {
+        assert!(
+            rows == 0 || cols == 0 || (rows - 1) * ld + cols <= data.len(),
+            "MatRef: {rows}x{cols} block with stride {ld} exceeds {} elements",
+            data.len()
+        );
+        MatRef {
+            data,
+            rows,
+            cols,
+            rs: ld,
+            cs: 1,
+        }
+    }
+
+    /// The transposed view.
+    pub(crate) fn t(self) -> Self {
+        MatRef {
+            rows: self.cols,
+            cols: self.rows,
+            rs: self.cs,
+            cs: self.rs,
+            ..self
+        }
+    }
+
+    fn at(&self, r: usize, c: usize) -> f64 {
+        self.data[r * self.rs + c * self.cs]
+    }
+}
+
+/// How `gemm` combines each finished dot product with the output.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Store {
+    /// `C = A B`.
+    Overwrite,
+    /// `C = C - A B` (the product is formed first, then subtracted).
+    Subtract,
+    /// `C = A B` on every register tile that touches the upper triangle
+    /// (`C` square); tiles strictly below the diagonal are left as they are
+    /// for the caller to mirror.
+    Upper,
+}
+
+/// Register tile: `MR` output rows × `NR` output columns in accumulators.
+const MR: usize = 6;
+const NR: usize = 4;
+/// Packed-panel budgets in `f64`s: the A block (`MC × k`, kept in L2 while
+/// the B micro-panels stream past it) and the B block (`k × NC`).
+const A_BLOCK: usize = 1 << 17;
+const B_BLOCK: usize = 1 << 20;
+/// Products below this many multiply-adds run on the calling thread.
+const PAR_MIN_FLOPS: usize = 1 << 20;
+
+/// The one dense `f64` product kernel: `C (m × n) ∘= A (m × k) · B (k × n)`,
+/// with `C` row-major at row stride `ldc`.
+///
+/// GotoBLAS-shaped: B is packed in `k × NC` blocks of `NR`-wide
+/// micro-panels, A in `MC × k` blocks of `MR`-tall micro-panels, and a
+/// `MR × NR` register tile accumulates over the *whole* `k` range. So every
+/// output element is one sequential sum of its `k` terms in ascending
+/// order starting from `0.0` — the same bits as a naive triple loop,
+/// whatever the block sizes, and whatever `SOPHIE_THREADS` splits the
+/// output rows into (Rust never contracts `mul`+`add` into an FMA).
+///
+/// # Panics
+///
+/// Panics if `a.cols != b.rows`, if `c` is shorter than `m` rows of `ldc`,
+/// or if `Store::Upper` is asked of a non-square product.
+pub(crate) fn gemm(a: MatRef<'_>, b: MatRef<'_>, c: &mut [f64], ldc: usize, store: Store) {
+    let (m, k, n) = (a.rows, a.cols, b.cols);
+    assert_eq!(k, b.rows, "gemm: inner dimensions differ");
+    assert!(n <= ldc, "gemm: output rows narrower than the product");
+    assert!(
+        store != Store::Upper || m == n,
+        "gemm: Store::Upper needs a square product"
+    );
+    if m == 0 || n == 0 {
+        return;
+    }
+    let c = &mut c[..m * ldc];
+    if k == 0 {
+        if store != Store::Subtract {
+            for row in c.chunks_mut(ldc) {
+                row[..n].fill(0.0);
+            }
+        }
+        return;
+    }
+    let mc = (A_BLOCK / k).max(MR) / MR * MR;
+    let nc = (B_BLOCK / k).max(NR) / NR * NR;
+    let tile_rows = m.div_ceil(MR);
+    let workers = if m * n * k < PAR_MIN_FLOPS {
+        1
+    } else {
+        par::worker_count(tile_rows)
+    };
+    // Several row bands per worker so the triangular `Upper` work
+    // balances; each band packs its own B blocks.
+    let chunks = if workers == 1 {
+        1
+    } else {
+        (workers * 4).min(tile_rows)
+    };
+    par::for_each_row_chunk_mut(c, ldc, chunks, |row0, band| {
+        let rows = band.len() / ldc;
+        let mut apack = vec![0.0; mc.min(rows.next_multiple_of(MR)) * k];
+        let mut bpack = vec![0.0; nc.min(n.next_multiple_of(NR)) * k];
+        // Under `Upper`, columns left of the band's first row hold only
+        // lower-triangle tiles.
+        let col_start = if store == Store::Upper {
+            row0 / NR * NR
+        } else {
+            0
+        };
+        for j0 in (col_start..n).step_by(nc) {
+            let jn = nc.min(n - j0);
+            pack_b(b, j0, jn, &mut bpack);
+            for i0 in (0..rows).step_by(mc) {
+                let im = mc.min(rows - i0);
+                pack_a(a, row0 + i0, im, &mut apack);
+                for (q, bp) in bpack[..jn.next_multiple_of(NR) * k]
+                    .chunks_exact(NR * k)
+                    .enumerate()
+                {
+                    let jc = j0 + q * NR;
+                    let nr = NR.min(n - jc);
+                    for (p, ap) in apack[..im.next_multiple_of(MR) * k]
+                        .chunks_exact(MR * k)
+                        .enumerate()
+                    {
+                        let ic = i0 + p * MR;
+                        if store == Store::Upper && jc + NR <= row0 + ic {
+                            continue;
+                        }
+                        let acc = micro_tile(ap, bp);
+                        let mr = MR.min(rows - ic);
+                        for (i, acc_row) in acc.iter().enumerate().take(mr) {
+                            let out = &mut band[(ic + i) * ldc + jc..][..nr];
+                            match store {
+                                Store::Overwrite | Store::Upper => {
+                                    out.copy_from_slice(&acc_row[..nr]);
+                                }
+                                Store::Subtract => {
+                                    for (o, &v) in out.iter_mut().zip(acc_row) {
+                                        *o -= v;
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    });
+}
+
+/// Packs rows `r0..r0 + rows` of `a` into `MR`-tall, `k`-long micro-panels
+/// (`k`-major within a panel), zero-padding the last panel.
+fn pack_a(a: MatRef<'_>, r0: usize, rows: usize, out: &mut [f64]) {
+    let k = a.cols;
+    for (p, panel) in out[..rows.next_multiple_of(MR) * k]
+        .chunks_exact_mut(MR * k)
+        .enumerate()
+    {
+        for i in 0..MR {
+            let r = p * MR + i;
+            if r < rows {
+                for (kk, slot) in panel.iter_mut().skip(i).step_by(MR).enumerate() {
+                    *slot = a.at(r0 + r, kk);
+                }
+            } else {
+                panel.iter_mut().skip(i).step_by(MR).for_each(|x| *x = 0.0);
+            }
+        }
+    }
+}
+
+/// Packs columns `c0..c0 + cols` of `b` into `NR`-wide, `k`-long
+/// micro-panels, zero-padding the last panel.
+fn pack_b(b: MatRef<'_>, c0: usize, cols: usize, out: &mut [f64]) {
+    let k = b.rows;
+    for (q, panel) in out[..cols.next_multiple_of(NR) * k]
+        .chunks_exact_mut(NR * k)
+        .enumerate()
+    {
+        for (kk, slot) in panel.chunks_exact_mut(NR).enumerate() {
+            for (j, x) in slot.iter_mut().enumerate() {
+                let col = q * NR + j;
+                *x = if col < cols { b.at(kk, c0 + col) } else { 0.0 };
+            }
+        }
+    }
+}
+
+/// One `MR × NR` register tile over two packed micro-panels of equal `k`.
+#[inline(always)]
+fn micro_tile(ap: &[f64], bp: &[f64]) -> [[f64; NR]; MR] {
+    let mut acc = [[0.0; NR]; MR];
+    for (a, b) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)) {
+        for i in 0..MR {
+            for j in 0..NR {
+                acc[i][j] += a[i] * b[j];
+            }
+        }
+    }
+    acc
 }
 
 impl std::ops::Index<(usize, usize)> for Matrix {
@@ -450,6 +692,75 @@ mod tests {
         let g = a.gram();
         let expect = a.matmul(&a.transposed()).unwrap();
         assert!(g.max_abs_diff(&expect) < 1e-9);
+    }
+
+    /// Naive triple loop in the kernel's summation order.
+    fn naive(a: &Matrix, b: &Matrix) -> Matrix {
+        Matrix::from_fn(a.rows(), b.cols(), |r, c| {
+            let mut acc = 0.0;
+            for k in 0..a.cols() {
+                acc += a[(r, k)] * b[(k, c)];
+            }
+            acc
+        })
+    }
+
+    fn odd_matrix(rows: usize, cols: usize, seed: usize) -> Matrix {
+        Matrix::from_fn(rows, cols, |r, c| {
+            (((r * 131 + c * 71 + seed * 17) % 97) as f64 - 48.0) / 7.3
+        })
+    }
+
+    #[test]
+    fn gemm_is_bitwise_the_naive_sum_on_ragged_shapes() {
+        for (m, k, n) in [(1, 1, 1), (7, 3, 5), (13, 37, 11), (150, 90, 70), (5, 0, 4)] {
+            let a = odd_matrix(m, k, 1);
+            let b = odd_matrix(k, n, 2);
+            assert_eq!(a.matmul(&b).unwrap(), naive(&a, &b), "{m}x{k}x{n}");
+            let bt = b.transposed();
+            assert_eq!(a.matmul_transposed(&bt).unwrap(), naive(&a, &b));
+        }
+    }
+
+    #[test]
+    fn gemm_subtract_and_strided_output() {
+        let a = odd_matrix(9, 6, 3);
+        let b = odd_matrix(6, 5, 4);
+        let p = naive(&a, &b);
+        // Output block of 5 columns inside rows of 8.
+        let mut c = vec![1.5; 9 * 8];
+        gemm(a.view(), b.view(), &mut c, 8, Store::Subtract);
+        for r in 0..9 {
+            for col in 0..8 {
+                let want = if col < 5 { 1.5 - p[(r, col)] } else { 1.5 };
+                assert_eq!(c[r * 8 + col], want);
+            }
+        }
+    }
+
+    #[test]
+    fn gram_of_compacted_columns_equals_full_gram() {
+        // Zero columns add exact zeros to every sum, so dropping them
+        // changes no entry.
+        let full = Matrix::from_fn(40, 30, |r, c| {
+            if c % 3 == 1 {
+                0.0
+            } else {
+                (((r * 7 + c * 13) % 23) as f64 - 11.0) / 3.1
+            }
+        });
+        let kept: Vec<usize> = (0..30).filter(|c| c % 3 != 1).collect();
+        let compact = Matrix::from_fn(40, kept.len(), |r, j| full[(r, kept[j])]);
+        assert_eq!(compact.gram(), full.gram());
+        assert_eq!(full.gram(), naive(&full, &full.transposed()));
+    }
+
+    #[test]
+    fn max_asymmetry_reports_nan() {
+        let mut m = Matrix::identity(3);
+        m[(0, 2)] = f64::NAN;
+        assert!(m.max_asymmetry().is_nan());
+        assert!(!m.is_symmetric(1.0));
     }
 
     #[test]

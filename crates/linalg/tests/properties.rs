@@ -7,7 +7,12 @@ use sophie_linalg::{Matrix, Tile, TileGrid, TiledMatrix};
 
 /// Strategy: a symmetric n×n matrix with entries in [-5, 5].
 fn symmetric_matrix(max_n: usize) -> impl Strategy<Value = Matrix> {
-    (1..=max_n).prop_flat_map(|n| {
+    symmetric_matrix_in(1, max_n)
+}
+
+/// Strategy: a symmetric n×n matrix, `min_n ≤ n ≤ max_n`, entries in [-5, 5].
+fn symmetric_matrix_in(min_n: usize, max_n: usize) -> impl Strategy<Value = Matrix> {
+    (min_n..=max_n).prop_flat_map(|n| {
         proptest::collection::vec(-5.0_f64..5.0, n * n).prop_map(move |v| {
             let raw = Matrix::from_vec(n, n, v).unwrap();
             Matrix::from_fn(n, n, |r, c| 0.5 * (raw[(r, c)] + raw[(c, r)]))
@@ -25,26 +30,32 @@ fn any_matrix(max_n: usize) -> impl Strategy<Value = (Matrix, Vec<f64>)> {
     })
 }
 
+/// Sizes for the eigensolver properties: every case is larger than a
+/// divide-and-conquer leaf (32 rows), so each one crosses a merge.
+const EIGEN_N: (usize, usize) = (33, 80);
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn eigen_reconstruction_roundtrips(a in symmetric_matrix(12)) {
+    fn eigen_reconstruction_roundtrips(a in symmetric_matrix_in(EIGEN_N.0, EIGEN_N.1)) {
         let e = symmetric_eigen(&a).unwrap();
         prop_assert!(e.reconstruct().max_abs_diff(&a) < 1e-7);
     }
 
     #[test]
-    fn eigenvalues_match_between_independent_solvers(a in symmetric_matrix(10)) {
-        let ql = symmetric_eigen(&a).unwrap();
+    fn eigenvalues_match_between_independent_solvers(
+        a in symmetric_matrix_in(EIGEN_N.0, EIGEN_N.1),
+    ) {
+        let eig = symmetric_eigen(&a).unwrap();
         let jac = jacobi_eigen(&a).unwrap();
-        for (x, y) in ql.values.iter().zip(&jac.values) {
+        for (x, y) in eig.values.iter().zip(&jac.values) {
             prop_assert!((x - y).abs() < 1e-6, "{x} vs {y}");
         }
     }
 
     #[test]
-    fn eigenvectors_are_orthonormal(a in symmetric_matrix(10)) {
+    fn eigenvectors_are_orthonormal(a in symmetric_matrix_in(EIGEN_N.0, EIGEN_N.1)) {
         let e = symmetric_eigen(&a).unwrap();
         let n = a.rows();
         let vtv = e.vectors.transposed().matmul(&e.vectors).unwrap();
@@ -52,7 +63,7 @@ proptest! {
     }
 
     #[test]
-    fn eigenvalue_sum_equals_trace(a in symmetric_matrix(12)) {
+    fn eigenvalue_sum_equals_trace(a in symmetric_matrix_in(EIGEN_N.0, EIGEN_N.1)) {
         let e = symmetric_eigen(&a).unwrap();
         let trace: f64 = (0..a.rows()).map(|i| a[(i, i)]).sum();
         let sum: f64 = e.values.iter().sum();

@@ -55,13 +55,25 @@ impl Preprocessor {
     /// * [`PrisError::Linalg`] if `k` is not square/symmetric or the
     ///   eigensolver fails.
     pub fn new(k: &Matrix, delta: Vec<f64>, variant: DeltaVariant) -> Result<Self> {
-        if delta.len() != k.rows() {
+        Self::from_eigen(symmetric_eigen(k)?, delta, variant)
+    }
+
+    /// Wraps an eigendecomposition of `K` computed elsewhere.
+    ///
+    /// # Errors
+    ///
+    /// [`PrisError::BadDelta`] if `delta.len() != eigen.dim()`.
+    pub fn from_eigen(
+        eigen: SymmetricEigen,
+        delta: Vec<f64>,
+        variant: DeltaVariant,
+    ) -> Result<Self> {
+        if delta.len() != eigen.dim() {
             return Err(PrisError::BadDelta {
-                expected: k.rows(),
+                expected: eigen.dim(),
                 found: delta.len(),
             });
         }
-        let eigen = symmetric_eigen(k)?;
         Ok(Preprocessor {
             eigen,
             delta,
@@ -112,21 +124,7 @@ impl Preprocessor {
                 }
             })
             .collect();
-        Ok(self.build_from(&f))
-    }
-
-    fn build_from(&self, f: &[f64]) -> Matrix {
-        let n = self.dim();
-        // B = U·diag(√f); C = B·Bᵀ (f is non-negative by construction).
-        let mut b = Matrix::zeros(n, n);
-        for r in 0..n {
-            let urow = self.eigen.vectors.row(r);
-            let brow = b.row_mut(r);
-            for c in 0..n {
-                brow[c] = urow[c] * f[c].sqrt();
-            }
-        }
-        b.gram()
+        Ok(self.eigen.apply_values(&f))
     }
 }
 

@@ -9,7 +9,7 @@
 # (called out below: the fault-injection/recovery and determinism suites),
 # builds the examples, denies rustdoc warnings, and smoke-runs the
 # `repro` binary (the solver-registry listing, bench-summary with a
-# sparse-suite/speedup/transformed-matrix gate, the kernel autotune smoke with its 1.3x
+# sparse-suite/speedup/transformed-matrix/set-up-phase gate, the kernel autotune smoke with its 1.3x
 # forward-speedup gate, the problem-compiler sweep with a feasible-decode
 # gate on every annealer row, the sparse dense-vs-delta equivalence sweep,
 # a JSONL event trace, a JSONL command timeline with an exact-cost-sum and
@@ -94,8 +94,9 @@ if [[ "$quick" -eq 0 ]]; then
     # batch scheduler on a tiny instance.
     run cargo run --release -q -p sophie-bench --bin repro -- solvers
     run cargo run --release -q -p sophie-bench --bin repro -- bench-summary --out "$smoke_dir"
-    # Bench gate (quick mode): the sparse kernel, transformed-matrix and
-    # noise-sampler suites must be present; the warm-polish speedup must not
+    # Bench gate (quick mode): the sparse kernel, transformed-matrix,
+    # noise-sampler and set-up (eigen, dropout transform) suites and the
+    # setup_phases block must be present; the warm-polish speedup must not
     # regress below a conservative floor (the committed full record shows
     # >= 5x; quick-mode medians are noisy), and on the dense α-transformed
     # matrix SOPHIE runs the sparse backend must stay within ~15 % of dense.
@@ -113,8 +114,14 @@ for needed in (
     "transformed_g22/sparse/2000",
     "gaussian/sample_f32/1",
     "gaussian/fill_f32/64",
+    "eigen/256",
+    "eigen/2000",
+    "dropout_transform/2000",
 ):
     assert needed in ids, f"bench summary missing {needed}"
+phases = doc["setup_phases"]
+for field in ("host_cores", "threads", "reduction_s", "tridiagonal_s", "back_transform_s", "transform_s"):
+    assert field in phases, f"setup_phases missing {field}"
 sp = doc["sparse_speedup"]["speedup"]
 assert sp >= 2.0, f"sparse polish speedup regressed to {sp}x (quick-mode floor: 2.0)"
 tr = doc["transformed_sparse_ratio"]["ratio"]

@@ -12,9 +12,11 @@
 use std::sync::{Arc, Mutex};
 
 use sophie::core::{SophieConfig, SophieOutcome, SophieSolver};
+use sophie::graph::coupling::{coupling_matrix, delta_diagonal};
 use sophie::graph::generate::{gnm, WeightDist};
 use sophie::graph::Graph;
 use sophie::hw::{OpcmBackend, OpcmBackendConfig};
+use sophie::pris::{DeltaVariant, Preprocessor};
 use sophie::solve::{run_seeds, Solver};
 
 /// `SOPHIE_THREADS` is process-global; serialize the tests that set it.
@@ -123,4 +125,38 @@ fn scheduler_batches_over_the_trait_object_are_identical_across_thread_counts() 
     assert_eq!(serial.reports, four.reports, "1 vs 4 threads");
     assert_eq!(serial.reports, eight.reports, "1 vs 8 threads");
     assert_eq!(serial.ops, four.ops, "aggregate op counts");
+}
+
+#[test]
+fn transformed_matrix_is_identical_across_thread_counts() {
+    // Large enough that the Householder update, the divide-and-conquer
+    // merges and the transform's Gram product all split across workers.
+    let _guard = ENV_LOCK.lock().unwrap();
+    let g = gnm(300, 1500, WeightDist::Unit, 9).unwrap();
+    let k = coupling_matrix(&g);
+    let build = || {
+        let pre = Preprocessor::new(&k, delta_diagonal(&g), DeltaVariant::Gershgorin).unwrap();
+        let bits = |m: &sophie::linalg::Matrix| -> Vec<u64> {
+            m.as_slice().iter().map(|x| x.to_bits()).collect()
+        };
+        (
+            bits(&pre.eigen().vectors),
+            bits(&pre.transform(0.0).unwrap()),
+            bits(&pre.transform(0.7).unwrap()),
+        )
+    };
+    let serial = with_threads("1", build);
+    let four = with_threads("4", build);
+    assert!(
+        serial.0 == four.0,
+        "eigenvectors differ across thread counts"
+    );
+    assert!(
+        serial.1 == four.1,
+        "C at alpha = 0 differs across thread counts"
+    );
+    assert!(
+        serial.2 == four.2,
+        "C at alpha = 0.7 differs across thread counts"
+    );
 }
